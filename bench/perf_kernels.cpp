@@ -1,5 +1,6 @@
 // Scalar-vs-batched-vs-simd throughput for the la::kernels backends: dot /
-// axpy / gemv over posit16_1, posit32_2 and half, each timed through
+// axpy / gemv / banded-CSR spmv over posit16_1, posit32_2, posit32_3 and
+// half, each timed through
 // Backend::Scalar, Backend::Batched and Backend::Simd and checked bitwise
 // identical.  Writes BENCH_kernels.json (pstab-results-v1, experiment
 // "kernels") into PSTAB_RESULTS_DIR so the backend speedups are tracked

@@ -4,9 +4,12 @@
 #include <chrono>
 #include <cstring>
 #include <random>
+#include <tuple>
+#include <vector>
 
 #include "core/report_json.hpp"
 #include "ieee/softfloat.hpp"
+#include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/kernels/kernels.hpp"
 #include "posit/posit.hpp"
@@ -129,6 +132,31 @@ void bench_format(const char* name, int n, int gemv_rows,
         measure_mops(ops, [&] { la::kernels::gemv(vc, A, x, yw); });
     out.push_back(row);
   }
+  {
+    // Banded n x n CSR (half-bandwidth 3, the shape of a 1-D stencil).
+    KernelBenchRow row{"spmv", name, n};
+    std::vector<std::tuple<int, int, double>> trips;
+    for (int i = 0; i < n; ++i)
+      for (int j = std::max(0, i - 3); j <= std::min(n - 1, i + 3); ++j)
+        trips.emplace_back(i, j, dist(rng));
+    const auto A = la::Csr<double>::from_triplets(n, n, std::move(trips))
+                       .template cast<T>();
+    la::Vec<T> ys, yb, yv;
+    la::kernels::spmv(sc, A, x, ys);
+    la::kernels::spmv(bc, A, x, yb);
+    la::kernels::spmv(vc, A, x, yv);
+    row.identical = bits_equal(ys, yb);
+    row.simd_identical = bits_equal(ys, yv);
+    la::Vec<T> yw;
+    const double ops = 2.0 * double(A.nnz());
+    row.scalar_mops =
+        measure_mops(ops, [&] { la::kernels::spmv(sc, A, x, yw); });
+    row.batched_mops =
+        measure_mops(ops, [&] { la::kernels::spmv(bc, A, x, yw); });
+    row.simd_mops =
+        measure_mops(ops, [&] { la::kernels::spmv(vc, A, x, yw); });
+    out.push_back(row);
+  }
 }
 
 }  // namespace
@@ -137,6 +165,7 @@ std::vector<KernelBenchRow> run_kernels_bench(int n, int gemv_rows) {
   std::vector<KernelBenchRow> rows;
   bench_format<Posit16_1>("posit16_1", n, gemv_rows, rows);
   bench_format<Posit32_2>("posit32_2", n, gemv_rows, rows);
+  bench_format<Posit32_3>("posit32_3", n, gemv_rows, rows);
   bench_format<Half>("half", n, gemv_rows, rows);
   return rows;
 }

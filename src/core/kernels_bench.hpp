@@ -1,6 +1,6 @@
 // Scalar-vs-batched-vs-simd kernel micro-benchmark shared by `pstab kernels
-// --bench` and bench/perf_kernels.  Times dot / axpy / gemv in all three
-// backends, checks the results are bit-identical, and serializes a
+// --bench` and bench/perf_kernels.  Times dot / axpy / gemv / spmv in all
+// three backends, checks the results are bit-identical, and serializes a
 // pstab-results-v1 document (experiment "kernels") so
 // tools/check_results_schema.py can validate it.
 #pragma once
@@ -11,9 +11,9 @@
 namespace pstab::core {
 
 struct KernelBenchRow {
-  std::string kernel;  // "dot" | "axpy" | "gemv"
-  std::string format;  // "posit16_1" | "posit32_2" | "half"
-  int n = 0;           // vector length (gemv: column count)
+  std::string kernel;  // "dot" | "axpy" | "gemv" | "spmv"
+  std::string format;  // "posit16_1" | "posit32_2" | "posit32_3" | "half"
+  int n = 0;           // vector length (gemv: column count; spmv: order)
   double scalar_mops = 0.0;
   double batched_mops = 0.0;
   double simd_mops = 0.0;      // Backend::Simd (scalar path when no ISA)
@@ -28,9 +28,10 @@ struct KernelBenchRow {
   }
 };
 
-/// Run the full grid (3 kernels x 3 formats).  `n` is the vector length;
+/// Run the full grid (4 kernels x 4 formats).  `n` is the vector length;
 /// gemv uses a `gemv_rows` x `n` matrix so the run stays short while the
-/// inner loops still see `n`-length rows.
+/// inner loops still see `n`-length rows, and spmv an n x n banded CSR
+/// matrix with 7 nonzeros per interior row.
 std::vector<KernelBenchRow> run_kernels_bench(int n = 4096,
                                               int gemv_rows = 256);
 

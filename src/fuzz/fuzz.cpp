@@ -10,11 +10,14 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ieee/softfloat.hpp"
+#include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/gmres.hpp"
 #include "la/ir.hpp"
@@ -908,10 +911,12 @@ template <class T>
 // the scalar kernels, on every ISA the host can execute.  Cases carry a
 // (length, stream seed) shape instead of raw operands: the vectors are
 // re-expanded from the seed with the boundary-biased posit pattern generator,
-// which keeps replay records one line long at any chain length.  Bit identity
-// per ISA is the verdict; a host with no vector ISA degenerates to
-// scalar-vs-scalar and trivially passes (the CI ISA matrix keeps the vector
-// legs exercised).
+// which keeps replay records one line long at any chain length.  For spmv
+// the length is the row count of a square CSR matrix whose pattern (row
+// lengths straddling the lane edges and the product block, empty rows
+// included) is expanded from the same stream.  Bit identity per ISA is the
+// verdict; a host with no vector ISA degenerates to scalar-vs-scalar and
+// trivially passes (the CI ISA matrix keeps the vector legs exercised).
 
 template <int N, int ES>
 [[nodiscard]] u64 gen_posit_pattern(SplitMix64& r);
@@ -925,7 +930,8 @@ template <int N, int ES>
   if (c.args.size() != arity) return fail("malformed: bad arity for " + c.op);
   const u64 n = c.args[0];
   if (n < 1 || n > 8192) return fail("malformed: simd length out of range");
-  if (c.op != "dot" && c.op != "chain" && c.op != "axpy")
+  if (c.op != "dot" && c.op != "chain" && c.op != "axpy" && c.op != "xpby" &&
+      c.op != "spmv")
     return fail("malformed: unknown simd op " + c.op);
 
   // Deterministic expansion: scalar knobs first (statement order!), then the
@@ -936,6 +942,25 @@ template <int N, int ES>
   la::Vec<P> x(n), y(n);
   for (u64 i = 0; i < n; ++i) x[i] = P::from_bits(gen_posit_pattern<N, ES>(r));
   for (u64 i = 0; i < n; ++i) y[i] = P::from_bits(gen_posit_pattern<N, ES>(r));
+  // spmv: an n x n CSR matrix, one row at a time (length, then distinct
+  // columns, then values); every posit value survives the double round trip
+  // through from_triplets, NaR included (as NaN).
+  la::Csr<P> A;
+  if (c.op == "spmv") {
+    static constexpr u64 kLens[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17};
+    std::vector<std::tuple<int, int, double>> trips;
+    for (u64 i = 0; i < n; ++i) {
+      const u64 len = std::min<u64>(
+          n, r.below(64) == 0 ? 250 + r.below(2000) : kLens[r.below(12)]);
+      std::set<u64> cols;
+      while (cols.size() < len) cols.insert(r.below(n));
+      for (const u64 j : cols)
+        trips.emplace_back(
+            int(i), int(j),
+            P::from_bits(gen_posit_pattern<N, ES>(r)).to_double());
+    }
+    A = la::Csr<P>::from_triplets(int(n), int(n), std::move(trips));
+  }
 
   const ker::Context ks{ker::Backend::Scalar}, kv{ker::Backend::Simd};
   const bool sub = arity == 3 && c.args[2] != 0;
@@ -943,14 +968,24 @@ template <int N, int ES>
   // Scalar reference once; then every executable vector ISA against it.
   P ref_s{};
   la::Vec<P> ref_v;
+  const auto run_vec = [&](const ker::Context& k, la::Vec<P>& out) {
+    if (c.op == "axpy") {
+      out = y;
+      ker::axpy(k, knob, x, out);
+    } else if (c.op == "xpby") {
+      out.assign(n, P::zero());
+      ker::xpby(k, x, knob, y, out);
+    } else {
+      ker::spmv(k, A, x, out);
+    }
+  };
   if (c.op == "dot") {
     ref_s = ker::dot(ks, x, y);
   } else if (c.op == "chain") {
     ref_s = ker::update_chain(ks, knob, x.data(), 1, y.data(), 1,
                               std::size_t(n), sub);
   } else {
-    ref_v = y;
-    ker::axpy(ks, knob, x, ref_v);
+    run_vec(ks, ref_v);
   }
 
   const auto run_vector = [&]() -> Verdict {
@@ -964,11 +999,11 @@ template <int N, int ES>
       if (cv.bits() != ref_s.bits())
         return fail_bits("chain", ref_s.bits(), cv.bits());
     } else {
-      la::Vec<P> yv = y;
-      ker::axpy(kv, knob, x, yv);
+      la::Vec<P> yv;
+      run_vec(kv, yv);
       for (u64 i = 0; i < n; ++i)
         if (yv[i].bits() != ref_v[i].bits())
-          return fail_bits("axpy", ref_v[i].bits(), yv[i].bits());
+          return fail_bits(c.op.c_str(), ref_v[i].bits(), yv[i].bits());
     }
     return {};
   };
@@ -991,6 +1026,7 @@ template <int N, int ES>
 [[nodiscard]] Verdict check_simd(const Case& c) {
   if (c.format == "p16_1") return check_simd<16, 1>(c);
   if (c.format == "p32_2") return check_simd<32, 2>(c);
+  if (c.format == "p32_3") return check_simd<32, 3>(c);
   return fail("malformed: unknown simd format " + c.format);
 }
 
@@ -1199,9 +1235,11 @@ template <int E, int M>
 [[nodiscard]] Case gen_simd_case(SplitMix64& r) {
   Case c;
   c.surface = "simd";
-  c.format = r.below(2) ? "p32_2" : "p16_1";
-  static constexpr const char* kOps[] = {"dot", "chain", "axpy"};
-  c.op = kOps[r.below(3)];
+  static constexpr const char* kFmts[] = {"p16_1", "p32_2", "p32_3"};
+  c.format = kFmts[r.below(3)];
+  static constexpr const char* kOps[] = {"dot", "chain", "axpy", "xpby",
+                                         "spmv"};
+  c.op = kOps[r.below(5)];
   // Lengths biased to the vector edges: sub-lane tails, the lane count
   // itself, the 128-element block boundary, and occasional long chains.
   u64 n = 0;

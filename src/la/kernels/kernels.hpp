@@ -9,9 +9,10 @@
 //   * Batched — decoded-plane kernels (la/kernels/batched.hpp), bit-identical
 //               to Scalar by construction.
 //   * Simd    — runtime-dispatched vector kernels (la/kernels/simd/) for
-//               Posit<16,1> / Posit<32,2>, bit-identical to Scalar; falls
-//               back to the scalar paths when no vector ISA is active or the
-//               kernel has no vector variant (dot_fused, spmv).
+//               Posit<16,1> / Posit<32,2> / Posit<32,3>, bit-identical to
+//               Scalar; falls back to the scalar paths when no vector ISA is
+//               active, for other formats, and for dot_fused (the quire has
+//               no vector variant).
 //   * Auto    — Simd (then Batched) for supported formats and non-tiny
 //               vectors, unless the process default says otherwise (below).
 //
@@ -96,7 +97,9 @@ inline std::atomic<Backend>& default_backend_state() {
 }  // namespace detail
 
 /// Backend an Auto context resolves to (PSTAB_KERNELS at startup, then
-/// set_default_backend).  Backend::Auto means "batched where supported".
+/// set_default_backend).  Backend::Auto means "Simd where a vector ISA is
+/// active and the format has a vector leg, else Batched where supported,
+/// else Scalar" (use_simd / use_batched below).
 [[nodiscard]] inline Backend default_backend() noexcept {
   return detail::default_backend_state().load(std::memory_order_relaxed);
 }
@@ -487,31 +490,58 @@ void gemv(const Context& c, const Dense<T>& A, const Vec<T>& x, Vec<T>& y) {
   A.gemv(x, y);
 }
 
+/// The leg kernels::spmv takes for T under c with an x of length n
+/// (exposed so tests can pin the routing itself).
+template <class T>
+[[nodiscard]] inline Backend spmv_leg(const Context& c,
+                                      std::size_t n) noexcept {
+  if (use_simd<T>(c, n)) return Backend::Simd;
+  if (use_batched<T>(c, n)) return Backend::Batched;
+  return Backend::Scalar;
+}
+
 /// y = A * x for CSR A: the x plane is decoded once and shared across the
-/// row tiles.
+/// row tiles; the vector and decoded-plane legs tile rows exactly like
+/// Csr::spmv, so every leg and any PSTAB_THREADS count give the same bytes.
 template <class T>
 void spmv(const Context& c, const Csr<T>& A, const Vec<T>& x, Vec<T>& y) {
-  if constexpr (batched::ops<T>::supported) {
-    if (use_batched<T>(c, x.size())) {
-      const int rows = A.rows();
-      y.assign(static_cast<std::size_t>(rows), scalar_traits<T>::zero());
-      typename batched::ops<T>::XPlane px;
-      batched::ops<T>::decode_x(x.data(), x.size(), px);
-      const auto run = [&](std::size_t lo, std::size_t hi) {
-        batched::ops<T>::spmv_range(A.values().data(), A.col_idx().data(),
-                                    A.row_ptr().data(), px, y.data(),
-                                    static_cast<int>(lo),
-                                    static_cast<int>(hi));
-      };
-      if (rows >= kParMinSparseRows)
-        pstab::parallel_tiles(static_cast<std::size_t>(rows),
-                              static_cast<std::size_t>(kSparseRowTile), run);
-      else
-        run(0, static_cast<std::size_t>(rows));
+  const Backend leg = spmv_leg<T>(c, x.size());
+  if (leg == Backend::Scalar) {
+    A.spmv(x, y);
+    return;
+  }
+  const int rows = A.rows();
+  y.assign(static_cast<std::size_t>(rows), scalar_traits<T>::zero());
+  const auto tiles = [rows](auto&& run) {
+    if (rows >= kParMinSparseRows)
+      pstab::parallel_tiles(static_cast<std::size_t>(rows),
+                            static_cast<std::size_t>(kSparseRowTile), run);
+    else
+      run(0, static_cast<std::size_t>(rows));
+  };
+  const T* val = A.values().data();
+  const int* col = A.col_idx().data();
+  const int* ptr = A.row_ptr().data();
+  if constexpr (simd::ops<T>::supported) {
+    if (leg == Backend::Simd) {
+      const auto& tbl = simd::ops<T>::table(*simd::active_tables());
+      std::vector<double> xd(x.size());
+      tbl.decode_f64(x.data(), x.size(), xd.data());
+      tiles([&](std::size_t lo, std::size_t hi) {
+        tbl.spmv_range(val, col, ptr, xd.data(), x.data(), y.data(),
+                       static_cast<int>(lo), static_cast<int>(hi));
+      });
       return;
     }
   }
-  A.spmv(x, y);
+  if constexpr (batched::ops<T>::supported) {
+    typename batched::ops<T>::XPlane px;
+    batched::ops<T>::decode_x(x.data(), x.size(), px);
+    tiles([&](std::size_t lo, std::size_t hi) {
+      batched::ops<T>::spmv_range(val, col, ptr, px, y.data(),
+                                  static_cast<int>(lo), static_cast<int>(hi));
+    });
+  }
 }
 
 /// y = A * x for any operator: routes Csr/Dense through the backend kernels

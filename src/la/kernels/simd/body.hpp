@@ -514,6 +514,100 @@ struct VOps {
     }
   }
 
+  /// Rounded products val[k] * x[col[k]] for k in [k0, k0 + m) as exact
+  /// doubles, x gathered from its decoded plane xd by column index.
+  static void sp_products(const P* val, const int* col, const double* xd,
+                          const P* x, std::size_t k0, std::size_t m,
+                          double* md) noexcept {
+    std::size_t j = 0;
+    for (; j + kLanes <= m; j += kLanes) {
+      const std::size_t k = k0 + j;
+      const u64v ci =
+          load_pats(reinterpret_cast<const std::uint32_t*>(col + k));
+      const VR mr = vmul_round(vdecode(load_p(val + k)), gather_f(xd, ci));
+      f64v t = mr.r;
+      if (any(mr.fix)) [[unlikely]] {
+        for (int l = 0; l < kLanes; ++l)
+          if (mr.fix[l]) t[l] = fd::mul_round_slot(val[k + l], x[col[k + l]]);
+      }
+      store_f(md + j, t);
+    }
+    for (; j < m; ++j) md[j] = fd::mul_round_slot(val[k0 + j], x[col[k0 + j]]);
+  }
+
+  /// CSR rows [r0, r1).  Rows are taken in runs whose nonzeros share one
+  /// product block.  A run of many short rows forms its products
+  /// lane-parallel over the flat nonzero range, then each lane carries one
+  /// row's sum through per-step posit adds (sp_rows).  A run of a few long
+  /// rows (or one row longer than the block) would leave most lanes idle,
+  /// so each of its rows runs a serial FpChain instead, like a gemv row.
+  static constexpr std::size_t kSpBlock = 16 * kBlock;
+  static void spmv_range(const P* val, const int* col, const int* ptr,
+                         const double* xd, const P* x, P* y, int r0, int r1) {
+    double md[kSpBlock];
+    for (int r = r0; r < r1;) {
+      const std::size_t k0 = std::size_t(ptr[r]);
+      int re = r + 1;  // rows [r, re) whose nonzeros share one block
+      while (re < r1 && std::size_t(ptr[re + 1]) - k0 <= kSpBlock) ++re;
+      if (re - r < kLanes) {
+        for (int i = r; i < re; ++i)
+          y[i] = sp_chain(val, col, xd, x, std::size_t(ptr[i]),
+                          std::size_t(ptr[i + 1]), md);
+      } else {
+        sp_products(val, col, xd, x, k0, std::size_t(ptr[re]) - k0, md);
+        for (int g = r; g < re; g += kLanes) sp_rows(ptr, k0, md, y, g, re);
+      }
+      r = re;
+    }
+  }
+
+  /// One row, nonzeros [k0, k1), as a serial FpChain over block-sized runs
+  /// of products (md is the scratch block).
+  static P sp_chain(const P* val, const int* col, const double* xd,
+                    const P* x, std::size_t k0, std::size_t k1,
+                    double* md) noexcept {
+    FpChain<N, ES> c;
+    c.set_zero_state();
+    for (std::size_t k = k0; k < k1 && !c.nar; k += kSpBlock) {
+      const std::size_t m = std::min(kSpBlock, k1 - k);
+      sp_products(val, col, xd, x, k, m, md);
+      for (std::size_t j = 0; j < m; ++j) c.step(md[j]);
+    }
+    return c.value();
+  }
+
+  /// Rows [g, min(g + kLanes, re)), one per lane, from their products in md
+  /// (row i's slice starts at md[ptr[i] - k0]).
+  static void sp_rows(const int* ptr, std::size_t k0, const double* md, P* y,
+                      int g, int re) noexcept {
+    const int nl = std::min(kLanes, re - g);
+    i64v start{}, len{};  // lanes past re stay empty rows
+    i64 steps = 0;
+    for (int l = 0; l < nl; ++l) {
+      start[l] = i64(ptr[g + l]) - i64(k0);
+      len[l] = i64(ptr[g + l + 1]) - i64(ptr[g + l]);
+      steps = std::max(steps, i64(len[l]));
+    }
+    f64v acc{};  // +0.0: the scalar row sum starts at zero
+    for (i64 j = 0; j < steps; ++j) {
+      const u64v act = as_u(splat_i(j) < len);
+      const f64v m =
+          gather_f(md, blend(act, as_u(start + splat_i(j)), u64v{}));
+      VR s = vadd_round(acc, m);
+      if (any(s.fix & act)) [[unlikely]] {
+        // Taper/saturated sums: the scalar posit add on the exact values.
+        for (int l = 0; l < kLanes; ++l)
+          if (s.fix[l] & act[l])
+            s.r[l] =
+                (P::from_double(acc[l]) + P::from_double(m[l])).to_double();
+      }
+      acc = blend_f(act, s.r, acc);
+    }
+    ST out[kLanes];
+    store_pats(out, vencode(acc));
+    std::memcpy(y + g, out, std::size_t(nl) * sizeof(ST));
+  }
+
   // -- elementwise kernels --------------------------------------------------
 
   static void decode_f64(const P* x, std::size_t n, double* out) {
@@ -639,16 +733,18 @@ struct VOps {
 template <class P>
 Kernels<P> make_kernels() noexcept {
   using V = VOps<P>;
-  return Kernels<P>{&V::dot,    &V::update_chain, &V::axpy,
-                    &V::scal,   &V::xpby,         &V::gemv,
-                    &V::decode_f64, &V::encode_f64, &V::mul_round};
+  return Kernels<P>{&V::dot,        &V::update_chain, &V::axpy,
+                    &V::scal,       &V::xpby,         &V::gemv,
+                    &V::spmv_range, &V::decode_f64,   &V::encode_f64,
+                    &V::mul_round};
 }
 
 }  // namespace
 
 const IsaTables& tables() noexcept {
   static const IsaTables t{make_kernels<Posit<16, 1>>(),
-                           make_kernels<Posit<32, 2>>()};
+                           make_kernels<Posit<32, 2>>(),
+                           make_kernels<Posit<32, 3>>()};
   return t;
 }
 

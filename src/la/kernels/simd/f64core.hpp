@@ -1,19 +1,25 @@
 // The f64-domain core shared by every SIMD ISA leg (la/kernels/simd/).
 //
-// Every finite Posit<16,1> / Posit<32,2> value is exactly representable as an
-// IEEE double (<= 28 significant bits), so the vector legs do posit
-// arithmetic in the f64 domain and pin the posit rounding with two tricks:
+// Every finite Posit<16,1> / Posit<32,2> / Posit<32,3> value is exactly
+// representable as an IEEE double: at most 28 significant bits (Posit<32,2>;
+// Posit<32,3> has 27) and |scale| <= 240 (Posit<32,3>'s maxpos is 2^240).  A
+// product of two such values has |scale| <= 481, so every intermediate stays
+// a normal double — no overflow, no subnormal — and its FMA residual is
+// exact.  The vector legs therefore do posit arithmetic in the f64 domain
+// and pin the posit rounding with two tricks:
 //
 //  * Single-op rounds (products, sums): round-to-odd at 53 bits — fl(a op b)
 //    plus the exact FMA/TwoSum residual folded into the pattern LSB — then
 //    one hardware RNE add against a per-binade constant C = 1.5 * 2^(52-fb+e)
 //    (RoundTable below).  Valid whenever the result binade keeps fb >= 1
 //    posit fraction bits; C == 0.0 marks the (rare) taper/saturation binades
-//    that re-run the proven integer core.
-//  * The serial accumulate chain (dot/gemv/update_chain): FpChain holds the
-//    accumulator as T = C + r so ONE hardware FP add per term performs the
-//    exact add AND the posit-ulp RNE.  Unsigned pattern-range compares detect
-//    band exits, which recover r exactly and re-run batched::chain_add.
+//    that re-run the proven integer core.  CSR SpMV row sums use this
+//    add-round too, one row per lane.
+//  * The serial accumulate chain (dot/gemv/update_chain): FpChain holds
+//    the accumulator as T = C + r so ONE hardware FP add per term performs
+//    the exact add AND the posit-ulp RNE.  Unsigned pattern-range compares
+//    detect band exits, which recover r exactly and re-run
+//    batched::chain_add.
 //
 // Bit-identity with the scalar core is the contract: every helper here
 // defers to posit_round_unpacked / add_exact / mul_exact the moment a case

@@ -3,8 +3,8 @@
 //
 // Per-ISA translation units (simd_avx2.cpp / simd_avx512.cpp / simd_neon.cpp,
 // each built with its own -m flags) instantiate the generic f64-domain body
-// (body.hpp) for Posit<16,1> and Posit<32,2> and export a table of function
-// pointers.  simd.cpp resolves which table is active:
+// (body.hpp) for Posit<16,1>, Posit<32,2> and Posit<32,3> and export a table
+// of function pointers.  simd.cpp resolves which table is active:
 //
 //   * CPUID/HWCAP detection picks the best ISA compiled in AND supported by
 //     the running CPU (AVX-512 > AVX2 on x86-64; NEON on aarch64).
@@ -56,6 +56,10 @@ struct Kernels {
   void (*scal)(P, P*, std::size_t);
   void (*xpby)(const P*, P, const P*, P*, std::size_t);
   void (*gemv)(const P*, int, int, const P*, P*);
+  /// CSR rows [r0, r1) of y = A * x; xd is x decoded by decode_f64 (shared
+  /// by every row tile), x the same vector's patterns for the fixup lanes.
+  void (*spmv_range)(const P* val, const int* col, const int* ptr,
+                     const double* xd, const P* x, P* y, int r0, int r1);
   void (*decode_f64)(const P*, std::size_t, double*);
   void (*encode_f64)(const double*, std::size_t, P*);
   void (*mul_round)(const P*, const P*, P*, std::size_t);
@@ -64,6 +68,7 @@ struct Kernels {
 struct IsaTables {
   Kernels<Posit<16, 1>> p16;
   Kernels<Posit<32, 2>> p32;
+  Kernels<Posit<32, 3>> p32_3;
 };
 
 /// True when this binary carries a vector leg for `i` AND the running CPU
@@ -110,6 +115,13 @@ struct ops<Posit<32, 2>> {
   static constexpr bool supported = true;
   static const Kernels<Posit<32, 2>>& table(const IsaTables& t) noexcept {
     return t.p32;
+  }
+};
+template <>
+struct ops<Posit<32, 3>> {
+  static constexpr bool supported = true;
+  static const Kernels<Posit<32, 3>>& table(const IsaTables& t) noexcept {
+    return t.p32_3;
   }
 };
 

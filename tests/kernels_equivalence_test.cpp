@@ -460,6 +460,16 @@ void check_simd_blas(bool specials) {
   ker::gemv(kScalar, A, gx, gs);
   ker::gemv(kSimd, A, gx, gv);
   EXPECT_TRUE(bits_equal(gs, gv));
+
+  // CSR SpMV through the gathered vector products and per-row chains, with
+  // the x-side specials flowing through the decoded plane.
+  const matrices::MatrixSpec spec{"simdeq", 64, 640, 1e3, 1e1, 1e1};
+  const auto S = matrices::generate_spd(spec, 5).csr.template cast<T>();
+  const auto sx = rand_vec<T>(64, specials ? 2702 : 2772, specials);
+  la::Vec<T> ss, sv;
+  ker::spmv(kScalar, S, sx, ss);
+  ker::spmv(kSimd, S, sx, sv);
+  EXPECT_TRUE(bits_equal(ss, sv));
 }
 
 TEST(SimdEquivalence, PerIsaBlas) {
@@ -471,6 +481,8 @@ TEST(SimdEquivalence, PerIsaBlas) {
     check_simd_blas<Posit16_1>(true);
     check_simd_blas<Posit32_2>(false);
     check_simd_blas<Posit32_2>(true);
+    check_simd_blas<Posit32_3>(false);
+    check_simd_blas<Posit32_3>(true);
   }
 }
 
@@ -512,6 +524,7 @@ TEST(SimdEquivalence, NaRPropagationPerIsa) {
     };
     poison(Posit16_1{});
     poison(Posit32_2{});
+    poison(Posit32_3{});
   }
 }
 
@@ -597,7 +610,23 @@ TEST(SimdDispatch, TelemetryForcesScalar) {
 TEST(SimdDispatch, UnsupportedFormatsStayScalar) {
   EXPECT_FALSE(ker::use_simd<Half>(kSimd, 4096));
   EXPECT_FALSE(ker::use_simd<float>(kSimd, 4096));
-  EXPECT_FALSE(ker::use_simd<Posit32_3>(kSimd, 4096));
+  // Backend::Simd never routes into Batched, so these run the scalar SpMV.
+  EXPECT_EQ(ker::spmv_leg<Half>(kSimd, 4096), ker::Backend::Scalar);
+  EXPECT_EQ(ker::spmv_leg<float>(kSimd, 4096), ker::Backend::Scalar);
+}
+
+TEST(SimdDispatch, PositCgKernelsTakeVectorLeg) {
+  // Every kernel of the posit CG iteration — including Posit<32,3> and the
+  // CSR SpMV — runs on the active ISA under Backend::Simd.
+  const auto isas = vector_isas();
+  if (isas.empty()) GTEST_SKIP() << "no vector ISA on this runner";
+  ForcedIsa f(isas.front());
+  EXPECT_TRUE(ker::use_simd<Posit32_3>(kSimd, 4096));
+  EXPECT_EQ(ker::spmv_leg<Posit16_1>(kSimd, 4096), ker::Backend::Simd);
+  EXPECT_EQ(ker::spmv_leg<Posit32_2>(kSimd, 4096), ker::Backend::Simd);
+  EXPECT_EQ(ker::spmv_leg<Posit32_3>(kSimd, 4096), ker::Backend::Simd);
+  EXPECT_EQ(ker::spmv_leg<Posit32_2>(kBatched, 4096), ker::Backend::Batched);
+  EXPECT_EQ(ker::spmv_leg<Posit32_2>(kScalar, 4096), ker::Backend::Scalar);
 }
 
 TEST(SimdDispatch, ParseIsaNamesRoundTrip) {

@@ -10,9 +10,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <cstdlib>
 #include <random>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "la/csr.hpp"
 #include "la/kernels/kernels.hpp"
 #include "mp/oracle.hpp"
 #include "mp/mpreal.hpp"
@@ -105,8 +110,9 @@ TEST(KernelsExhaustive, ChainedAndFusedDotVsExactSum) {
 // Backend::Simd exhaustive tier: every ISA the runner can execute is pinned
 // against the scalar core — all-pairs 8-bit dot/axpy through the dispatch
 // layer, full 16-bit decode/encode/mul_round pattern sweeps through the
-// per-ISA kernel tables, and long mixed-special chains for both supported
-// formats.  Bit-identity is the contract; any mismatch is a hard failure.
+// per-ISA kernel tables, long mixed-special chains and CSR SpMV for every
+// supported format.  Bit-identity is the contract; any mismatch is a hard
+// failure.
 
 namespace simd = pstab::la::kernels::simd;
 using pstab::detail::u64;
@@ -229,7 +235,7 @@ TEST(SimdExhaustive, Posit16FullPatternSweepPerIsa) {
 }
 
 /// Long chained dots and strided update-chains with specials mixed in, for
-/// both vector formats on every ISA — the band-exit, taper-absorption and
+/// every vector format on every ISA — the band-exit, taper-absorption and
 /// NaR paths of the FP chain all fire at these lengths.
 template <class P>
 void simd_long_chains(unsigned seed) {
@@ -265,6 +271,126 @@ TEST(SimdExhaustive, LongChainsPerIsa) {
     SCOPED_TRACE(simd::isa_name(isa));
     simd_long_chains<Posit<16, 1>>(0xA11CE);
     simd_long_chains<Posit<32, 2>>(0xB0B);
+    simd_long_chains<Posit<32, 3>>(0xC0DE);
+  }
+}
+
+/// Sets PSTAB_THREADS for one scope (parallel_tiles re-reads it per call).
+class ThreadsEnv {
+ public:
+  explicit ThreadsEnv(const char* v) {
+    const char* old = std::getenv("PSTAB_THREADS");
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    setenv("PSTAB_THREADS", v, 1);
+  }
+  ~ThreadsEnv() {
+    if (had_)
+      setenv("PSTAB_THREADS", saved_.c_str(), 1);
+    else
+      unsetenv("PSTAB_THREADS");
+  }
+
+ private:
+  std::string saved_;
+  bool had_ = false;
+};
+
+/// One operand pattern: mostly golden-zone values (long in-band chains),
+/// else the full pattern space, with NaR, zero and taper magnitudes (the
+/// few patterns next to ±minpos / ±maxpos) mixed in.
+template <class P>
+P csr_pattern(std::mt19937_64& rng) {
+  constexpr u64 kMask = (u64(1) << P::nbits) - 1;
+  constexpr u64 kMaxpos = (u64(1) << (P::nbits - 1)) - 1;
+  switch (rng() % 16) {
+    case 0:
+      return rng() % 6 == 0 ? P::nar() : P::zero();
+    case 1: {
+      const u64 b = rng() & 1 ? 1 + rng() % 8 : kMaxpos - rng() % 8;
+      const P t = P::from_bits(b);
+      return rng() & 1 ? -t : t;
+    }
+    case 2:
+    case 3:
+      return P::from_bits(rng() & kMask);
+    default:
+      return P::from_double(std::ldexp(double(rng() % 2001) - 1000.0, -9));
+  }
+}
+
+/// A random CSR matrix in format P: row lengths straddle the 2/4/8-lane
+/// edges (empty rows included); now and then a run of a few long rows
+/// leaves too few rows per product block for the lanes, and some rows
+/// outrun the block (2048 products) altogether.  Every stored value is an
+/// exact pattern from csr_pattern.
+template <class P>
+la::Csr<P> random_csr(int rows, int cols, std::mt19937_64& rng) {
+  static constexpr int kShort[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17};
+  static constexpr int kLong[] = {257, 511, 700, 2047, 2048, 2049, 4500};
+  std::vector<std::tuple<int, int, double>> trips;
+  std::vector<P> want;
+  int long_run = 0;  // rows left in the current run of long rows
+  for (int i = 0; i < rows; ++i) {
+    if (long_run == 0 && rng() % 512 == 0) long_run = 1 + int(rng() % 6);
+    int len = long_run > 0 ? kLong[rng() % std::size(kLong)]
+                           : kShort[rng() % std::size(kShort)];
+    if (long_run > 0) --long_run;
+    len = std::min(len, cols);
+    std::set<int> cs;
+    while (int(cs.size()) < len) cs.insert(int(rng() % u64(cols)));
+    for (const int c : cs) {
+      const P v = csr_pattern<P>(rng);
+      trips.emplace_back(i, c, v.to_double());
+      want.push_back(v);
+    }
+  }
+  auto A = la::Csr<P>::from_triplets(rows, cols, std::move(trips));
+  // Every posit value (NaR as NaN) survives the double round trip.
+  for (std::size_t k = 0; k < want.size(); ++k)
+    EXPECT_EQ(A.values()[k].bits(), want[k].bits()) << "k=" << k;
+  return A;
+}
+
+/// CSR SpMV, Backend::Simd against Backend::Scalar, across row counts that
+/// straddle the row tile and the parallel threshold, at one and several
+/// worker threads (row tiles are fixed, so the bytes must not move).
+template <class P>
+void simd_csr_spmv(unsigned seed) {
+  std::mt19937_64 rng(seed);
+  const int kRowCounts[] = {1,
+                            ker::kSparseRowTile - 1,
+                            ker::kSparseRowTile + 1,
+                            ker::kParMinSparseRows - 1,
+                            ker::kParMinSparseRows,
+                            ker::kParMinSparseRows + ker::kSparseRowTile + 3};
+  for (const int rows : kRowCounts) {
+    const int cols = rows + 7;
+    const auto A = random_csr<P>(rows, cols, rng);
+    la::Vec<P> x(static_cast<std::size_t>(cols));
+    for (auto& v : x) v = csr_pattern<P>(rng);
+    la::Vec<P> ys;
+    ker::spmv(kScalar, A, x, ys);
+    for (const char* threads : {"1", "4"}) {
+      ThreadsEnv env(threads);
+      la::Vec<P> yv;
+      ker::spmv(kSimd, A, x, yv);
+      ASSERT_EQ(yv.size(), ys.size());
+      for (std::size_t i = 0; i < ys.size(); ++i)
+        ASSERT_EQ(ys[i].bits(), yv[i].bits())
+            << "rows=" << rows << " threads=" << threads << " row " << i;
+    }
+  }
+}
+
+TEST(SimdExhaustive, CsrSpmvPerIsa) {
+  for (const simd::Isa isa : vector_isas()) {
+    ForcedIsa f(isa);
+    ASSERT_TRUE(f.honored());
+    SCOPED_TRACE(simd::isa_name(isa));
+    simd_csr_spmv<Posit<16, 1>>(0x5b1);
+    simd_csr_spmv<Posit<32, 2>>(0x5b2);
+    simd_csr_spmv<Posit<32, 3>>(0x5b3);
   }
 }
 
