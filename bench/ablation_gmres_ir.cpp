@@ -67,7 +67,8 @@ int main() {
 
   core::SolveRequest req;
   req.solver = core::Solver::gmres_ir;
-  const auto rows = core::run_gmres_ir_suite(matrices::general_suite(), req);
+  const auto rows = core::run_suite(matrices::general_suite(),
+                                    core::run_gmres_ir_experiment, req);
 
   int rescues = 0;
   core::Table g({"Matrix", "Format", "LU-IR", "GMRES-IR", "Inner", "Rescued"});
@@ -80,7 +81,7 @@ int main() {
     rescues += row.rescue_count();
   }
   g.print();
-  bench::write_results(core::gmres_ir_results_json("gmres_ir", rows, req),
+  bench::write_results(core::results_json("gmres_ir", rows, req),
                        "RESULTS_gmres_ir.json");
   std::printf(
       "\nGeneral suite: %d (matrix, format) cells rescued — GMRES-IR "

@@ -6,7 +6,7 @@
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
 #include "ieee/softfloat.hpp"
-#include "la/ir3.hpp"
+#include "la/ir.hpp"
 #include "scaling/higham.hpp"
 
 namespace {
@@ -27,13 +27,15 @@ int main() {
 
   core::Table t({"Matrix", "F16 IR", "F16 IR3", "P(16,1) IR", "P(16,1) IR3",
                  "berr F16 IR", "berr F16 IR3"});
+  la::IrOptions ir3;
+  ir3.residual = la::ResidualPrec::dd;  // Carson-Higham u_r = u^2
   for (const auto* m : bench::suite()) {
     const auto b = matrices::paper_rhs(m->dense);
     la::Vec<double> x;
     const auto f2 = la::mixed_ir<Half>(m->dense, b, x);
-    const auto f3 = la::mixed_ir3<Half>(m->dense, b, x);
+    const auto f3 = la::mixed_ir<Half>(m->dense, b, x, ir3);
     const auto p2 = la::mixed_ir<Posit16_1>(m->dense, b, x);
-    const auto p3 = la::mixed_ir3<Posit16_1>(m->dense, b, x);
+    const auto p3 = la::mixed_ir<Posit16_1>(m->dense, b, x, ir3);
     t.row({m->spec.name, cell(f2), cell(f3), cell(p2), cell(p3),
            core::fmt_sci(f2.final_berr, 1), core::fmt_sci(f3.final_berr, 1)});
   }

@@ -22,7 +22,8 @@ int main() {
   core::Table t({"Matrix", "||A||2", "F64", "F32", "P(32,2)", "P(32,3)",
                  "%impr P2", "%impr P3"});
   const core::SolveRequest req;  // CG defaults: tol 1e-5, cap 15n
-  const auto rows = core::run_cg_suite(bench::suite(), req);
+  const auto rows =
+      core::run_suite(bench::suite(), core::run_cg_experiment, req);
   for (const auto& row : rows) {
     t.row({row.matrix, core::fmt_sci(row.norm2, 1), cell(row.f64),
            cell(row.f32), cell(row.p32_2), cell(row.p32_3),
@@ -30,7 +31,7 @@ int main() {
            core::fmt_fix(row.pct_improvement(row.p32_3), 1)});
   }
   t.print();
-  bench::write_results(core::cg_results_json("cg", rows, req), "RESULTS_cg.json");
+  bench::write_results(core::results_json("cg", rows, req), "RESULTS_cg.json");
   std::printf(
       "\nExpected shape (paper): P(32,2) diverges/fails from nos1 rightward; "
       "P(32,3) degrades there; F32 ~ P(32,3) elsewhere.\n");

@@ -21,7 +21,8 @@ int main() {
 
   core::Table t({"Matrix", "||A||2", "F64", "F32", "P(32,2)", "P(32,3)",
                  "%impr P2", "%impr P3"});
-  const auto rows = core::run_cg_suite(bench::suite(), req);
+  const auto rows =
+      core::run_suite(bench::suite(), core::run_cg_experiment, req);
   for (const auto& row : rows) {
     t.row({row.matrix, core::fmt_sci(row.norm2, 1), cell(row.f64),
            cell(row.f32), cell(row.p32_2), cell(row.p32_3),
@@ -29,7 +30,7 @@ int main() {
            core::fmt_fix(row.pct_improvement(row.p32_3), 1)});
   }
   t.print();
-  bench::write_results(core::cg_results_json("cg_rescaled", rows, req),
+  bench::write_results(core::results_json("cg_rescaled", rows, req),
                        "RESULTS_cg_rescaled.json");
   std::printf(
       "\nExpected shape (paper): no posit divergences remain after scaling; "

@@ -20,7 +20,8 @@ int main() {
                  "berr P(32,3)", "digits P2", "digits P3"});
   core::SolveRequest req;
   req.solver = core::Solver::cholesky;
-  const auto rows = core::run_cholesky_suite(bench::suite(), req);
+  const auto rows =
+      core::run_suite(bench::suite(), core::run_cholesky_experiment, req);
   for (const auto& row : rows) {
     t.row({row.matrix, core::fmt_sci(row.norm2, 1), err(row.f32),
            err(row.p32_2), err(row.p32_3),
@@ -28,7 +29,7 @@ int main() {
            core::fmt_fix(row.extra_digits(row.p32_3), 2)});
   }
   t.print();
-  bench::write_results(core::cholesky_results_json("cholesky", rows, req),
+  bench::write_results(core::results_json("cholesky", rows, req),
                        "RESULTS_cholesky.json");
   std::printf(
       "\nFig 8(b) series is the (||A||2, digits P2) column pair above; "

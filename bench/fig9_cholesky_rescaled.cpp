@@ -22,7 +22,8 @@ int main() {
   double min_digits_p2 = 1e9;
   core::Table t({"Matrix", "||A||2", "berr F32", "berr P(32,2)",
                  "berr P(32,3)", "digits P2", "digits P3"});
-  const auto rows = core::run_cholesky_suite(bench::suite(), req);
+  const auto rows =
+      core::run_suite(bench::suite(), core::run_cholesky_experiment, req);
   for (const auto& row : rows) {
     const double d2 = row.extra_digits(row.p32_2);
     const double d3 = row.extra_digits(row.p32_3);
@@ -37,9 +38,8 @@ int main() {
            core::fmt_fix(d3, 2)});
   }
   t.print();
-  bench::write_results(
-      core::cholesky_results_json("cholesky_rescaled", rows, req),
-      "RESULTS_cholesky_rescaled.json");
+  bench::write_results(core::results_json("cholesky_rescaled", rows, req),
+                       "RESULTS_cholesky_rescaled.json");
   std::printf(
       "\nP(32,2) beats F32 on %d/%d matrices (min advantage %.2f digits); "
       "P(32,3) on %d.  Paper: both formats win everywhere, P(32,2) >= +1 "

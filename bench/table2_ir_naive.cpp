@@ -29,7 +29,8 @@ int main() {
   int ok_f16 = 0, ok_p1 = 0, ok_p2 = 0;
   core::SolveRequest req;
   req.solver = core::Solver::ir;
-  const auto rows = core::run_ir_suite(bench::suite(), req);
+  const auto rows =
+      core::run_suite(bench::suite(), core::run_ir_experiment, req);
   core::Table t({"Matrix", "Float16", "Posit(16,1)", "Posit(16,2)"});
   for (const auto& row : rows) {
     ok_f16 += workable(row.f16);
@@ -38,7 +39,7 @@ int main() {
     t.row({row.matrix, cell(row.f16), cell(row.p16_1), cell(row.p16_2)});
   }
   t.print();
-  bench::write_results(core::ir_results_json("ir_naive", rows, req),
+  bench::write_results(core::results_json("ir_naive", rows, req),
                        "RESULTS_ir_naive.json");
   std::printf(
       "\nWorkable out of the box: Float16 %d, Posit(16,1) %d, Posit(16,2) %d "

@@ -23,7 +23,8 @@ int main() {
   req.rescale = true;  // Higham scaling (Algorithms 4/5)
 
   int posit_wins = 0, comparable = 0;
-  const auto rows = core::run_ir_suite(bench::suite(), req);
+  const auto rows =
+      core::run_suite(bench::suite(), core::run_ir_experiment, req);
   core::Table t(
       {"Matrix", "Float16", "Posit(16,1)", "Posit(16,2)", "% diff"});
   for (const auto& row : rows) {
@@ -34,7 +35,7 @@ int main() {
            core::fmt_fix(pct, 1)});
   }
   t.print();
-  bench::write_results(core::ir_results_json("ir_higham", rows, req),
+  bench::write_results(core::results_json("ir_higham", rows, req),
                        "RESULTS_ir_higham.json");
   std::printf(
       "\nBest posit format needs fewer refinement steps than Float16 on "

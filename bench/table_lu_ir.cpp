@@ -26,7 +26,8 @@ int main() {
 
   core::SolveRequest req;
   req.solver = core::Solver::lu_ir;
-  const auto rows = core::run_lu_ir_suite(matrices::general_suite(), req);
+  const auto rows = core::run_suite(matrices::general_suite(),
+                                    core::run_lu_ir_experiment, req);
 
   int ok[4] = {0, 0, 0, 0};
   core::Table t({"Matrix", "k(A)", "Float16", "BFloat16", "Posit(16,1)",
@@ -40,7 +41,7 @@ int main() {
     t.row(cols);
   }
   t.print();
-  bench::write_results(core::lu_ir_results_json("lu_ir", rows, req),
+  bench::write_results(core::results_json("lu_ir", rows, req),
                        "RESULTS_lu_ir.json");
   std::printf(
       "\nWorkable (converged or still contracting at the cap): Float16 %d, "

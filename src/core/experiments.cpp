@@ -436,7 +436,7 @@ namespace {
 
 // The factor-format grids.  PSTAB_GENERAL_GRID is what PrecisionTriple
 // factor = "grid" sweeps; the EXTRA formats are reachable only as a single
-// requested column (keep both lists in sync with core::factor_formats()).
+// requested column.  core::factor_formats() is built from both lists.
 #define PSTAB_GENERAL_GRID(X) \
   X(Half, "f16")              \
   X(BFloat16, "bf16")         \
@@ -588,6 +588,14 @@ GmresIrCell gmres_ir_cell(const matrices::GeneratedMatrix& m,
 
 }  // namespace
 
+const std::vector<std::string>& factor_formats() {
+#define X(T, tag) tag,
+  static const std::vector<std::string> v = {
+      PSTAB_GENERAL_GRID(X) PSTAB_GENERAL_EXTRA(X)};
+#undef X
+  return v;
+}
+
 LuIrRow run_lu_ir_experiment(const matrices::GeneratedMatrix& m,
                              const SolveRequest& req_in,
                              ArtifactCache* cache) {
@@ -636,49 +644,6 @@ GmresIrRow run_gmres_ir_experiment(const matrices::GeneratedMatrix& m,
   PSTAB_GENERAL_EXTRA(X)
 #undef X
   return row;
-}
-
-// ---------------------------------------------------------------------------
-// Whole-grid runners (parallel across matrices)
-
-std::vector<CgRow> run_cg_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req, ArtifactCache* cache) {
-  return parallel_map<CgRow>(suite.size(), [&](std::size_t i) {
-    return run_cg_experiment(*suite[i], req, cache);
-  });
-}
-
-std::vector<CholRow> run_cholesky_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req, ArtifactCache* cache) {
-  return parallel_map<CholRow>(suite.size(), [&](std::size_t i) {
-    return run_cholesky_experiment(*suite[i], req, cache);
-  });
-}
-
-std::vector<IrRow> run_ir_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req, ArtifactCache* cache) {
-  return parallel_map<IrRow>(suite.size(), [&](std::size_t i) {
-    return run_ir_experiment(*suite[i], req, cache);
-  });
-}
-
-std::vector<LuIrRow> run_lu_ir_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req, ArtifactCache* cache) {
-  return parallel_map<LuIrRow>(suite.size(), [&](std::size_t i) {
-    return run_lu_ir_experiment(*suite[i], req, cache);
-  });
-}
-
-std::vector<GmresIrRow> run_gmres_ir_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req, ArtifactCache* cache) {
-  return parallel_map<GmresIrRow>(suite.size(), [&](std::size_t i) {
-    return run_gmres_ir_experiment(*suite[i], req, cache);
-  });
 }
 
 }  // namespace pstab::core

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel_for.hpp"
 #include "core/solve_api.hpp"
 #include "la/cg.hpp"
 #include "la/ir.hpp"
@@ -134,7 +135,8 @@ GmresIrRow run_gmres_ir_experiment(const matrices::GeneratedMatrix& m,
                                    ArtifactCache* cache = nullptr);
 
 // ---------------------------------------------------------------------------
-// Whole-grid runners: one row per input matrix, rows in input order.
+// Whole-grid runner: `driver` (run_cg_experiment, run_ir_experiment, ...)
+// applied to every matrix, one row per input matrix, rows in input order.
 //
 // The outer loop is embarrassingly parallel and runs across PSTAB_THREADS
 // workers (src/common/parallel_for.hpp); results are deterministic and
@@ -143,25 +145,16 @@ GmresIrRow run_gmres_ir_experiment(const matrices::GeneratedMatrix& m,
 // Callers must pass matrices that are already generated/loaded (e.g.
 // matrices::full_suite()), so no loader races inside the region.
 
-std::vector<CgRow> run_cg_suite(
+template <class Row>
+std::vector<Row> run_suite(
     const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req = {}, ArtifactCache* cache = nullptr);
-
-std::vector<CholRow> run_cholesky_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req = {}, ArtifactCache* cache = nullptr);
-
-std::vector<IrRow> run_ir_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req = {}, ArtifactCache* cache = nullptr);
-
-std::vector<LuIrRow> run_lu_ir_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req = {}, ArtifactCache* cache = nullptr);
-
-std::vector<GmresIrRow> run_gmres_ir_suite(
-    const std::vector<const matrices::GeneratedMatrix*>& suite,
-    const SolveRequest& req = {}, ArtifactCache* cache = nullptr);
+    Row (*driver)(const matrices::GeneratedMatrix&, const SolveRequest&,
+                  ArtifactCache*),
+    const SolveRequest& req = {}, ArtifactCache* cache = nullptr) {
+  return parallel_map<Row>(suite.size(), [&](std::size_t i) {
+    return driver(*suite[i], req, cache);
+  });
+}
 
 /// The request's right-hand side: the paper's deterministic b = A * xhat with
 /// xhat = (1/sqrt(n), ...) when rhs_seed == 0, otherwise b = A * xhat for a

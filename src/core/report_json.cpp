@@ -212,7 +212,7 @@ void request_options(JsonWriter& w, const SolveRequest& req) {
   w.end_object();
 }
 
-void cg_row(JsonWriter& w, const CgRow& r) {
+void write_row(JsonWriter& w, const CgRow& r) {
   w.begin_object();
   w.key("matrix").value(r.matrix);
   w.key("norm2").value(r.norm2);
@@ -230,7 +230,7 @@ void cg_row(JsonWriter& w, const CgRow& r) {
   w.end_object();
 }
 
-void cholesky_row(JsonWriter& w, const CholRow& r) {
+void write_row(JsonWriter& w, const CholRow& r) {
   w.begin_object();
   w.key("matrix").value(r.matrix);
   w.key("norm2").value(r.norm2);
@@ -261,7 +261,7 @@ void lu_ir_cell(JsonWriter& w, const la::LuIrReport& r) {
   w.end_object();
 }
 
-void lu_ir_row(JsonWriter& w, const LuIrRow& r) {
+void write_row(JsonWriter& w, const LuIrRow& r) {
   w.begin_object();
   w.key("matrix").value(r.matrix);
   w.key("norm2").value(r.norm2);
@@ -278,7 +278,7 @@ void lu_ir_row(JsonWriter& w, const LuIrRow& r) {
   w.end_object();
 }
 
-void gmres_ir_row(JsonWriter& w, const GmresIrRow& r) {
+void write_row(JsonWriter& w, const GmresIrRow& r) {
   w.begin_object();
   w.key("matrix").value(r.matrix);
   w.key("norm2").value(r.norm2);
@@ -299,7 +299,7 @@ void gmres_ir_row(JsonWriter& w, const GmresIrRow& r) {
   w.end_object();
 }
 
-void ir_row(JsonWriter& w, const IrRow& r) {
+void write_row(JsonWriter& w, const IrRow& r) {
   w.begin_object();
   w.key("matrix").value(r.matrix);
   w.key("f16");
@@ -342,112 +342,47 @@ void telemetry_section(JsonWriter& w) {
   w.end_array();
 }
 
+template <class Row>
+std::string row_json(const Row& row) {
+  JsonWriter w;
+  write_row(w, row);
+  return w.str();
+}
+
 }  // namespace
 
-std::string cg_results_json(const std::string& experiment,
-                            const std::vector<CgRow>& rows,
-                            const SolveRequest& req) {
+template <class Row>
+std::string results_json(const std::string& experiment,
+                         const std::vector<Row>& rows,
+                         const SolveRequest& req) {
   JsonWriter w;
   w.begin_object();
   header(w, experiment);
   request_options(w, req);
   w.key("rows").begin_array();
-  for (const auto& r : rows) cg_row(w, r);
+  for (const auto& r : rows) write_row(w, r);
   w.end_array();
   telemetry_section(w);
   w.end_object();
   return w.str() + "\n";
 }
 
-std::string cholesky_results_json(const std::string& experiment,
-                                  const std::vector<CholRow>& rows,
-                                  const SolveRequest& req) {
-  JsonWriter w;
-  w.begin_object();
-  header(w, experiment);
-  request_options(w, req);
-  w.key("rows").begin_array();
-  for (const auto& r : rows) cholesky_row(w, r);
-  w.end_array();
-  telemetry_section(w);
-  w.end_object();
-  return w.str() + "\n";
-}
+#define PSTAB_RESULTS_JSON(Row)                                       \
+  template std::string results_json(const std::string&,               \
+                                    const std::vector<Row>&,          \
+                                    const SolveRequest&);
+PSTAB_RESULTS_JSON(CgRow)
+PSTAB_RESULTS_JSON(CholRow)
+PSTAB_RESULTS_JSON(IrRow)
+PSTAB_RESULTS_JSON(LuIrRow)
+PSTAB_RESULTS_JSON(GmresIrRow)
+#undef PSTAB_RESULTS_JSON
 
-std::string ir_results_json(const std::string& experiment,
-                            const std::vector<IrRow>& rows,
-                            const SolveRequest& req) {
-  JsonWriter w;
-  w.begin_object();
-  header(w, experiment);
-  request_options(w, req);
-  w.key("rows").begin_array();
-  for (const auto& r : rows) ir_row(w, r);
-  w.end_array();
-  telemetry_section(w);
-  w.end_object();
-  return w.str() + "\n";
-}
-
-std::string lu_ir_results_json(const std::string& experiment,
-                               const std::vector<LuIrRow>& rows,
-                               const SolveRequest& req) {
-  JsonWriter w;
-  w.begin_object();
-  header(w, experiment);
-  request_options(w, req);
-  w.key("rows").begin_array();
-  for (const auto& r : rows) lu_ir_row(w, r);
-  w.end_array();
-  telemetry_section(w);
-  w.end_object();
-  return w.str() + "\n";
-}
-
-std::string gmres_ir_results_json(const std::string& experiment,
-                                  const std::vector<GmresIrRow>& rows,
-                                  const SolveRequest& req) {
-  JsonWriter w;
-  w.begin_object();
-  header(w, experiment);
-  request_options(w, req);
-  w.key("rows").begin_array();
-  for (const auto& r : rows) gmres_ir_row(w, r);
-  w.end_array();
-  telemetry_section(w);
-  w.end_object();
-  return w.str() + "\n";
-}
-
-std::string cg_row_json(const CgRow& row) {
-  JsonWriter w;
-  cg_row(w, row);
-  return w.str();
-}
-
-std::string cholesky_row_json(const CholRow& row) {
-  JsonWriter w;
-  cholesky_row(w, row);
-  return w.str();
-}
-
-std::string ir_row_json(const IrRow& row) {
-  JsonWriter w;
-  ir_row(w, row);
-  return w.str();
-}
-
-std::string lu_ir_row_json(const LuIrRow& row) {
-  JsonWriter w;
-  lu_ir_row(w, row);
-  return w.str();
-}
-
-std::string gmres_ir_row_json(const GmresIrRow& row) {
-  JsonWriter w;
-  gmres_ir_row(w, row);
-  return w.str();
-}
+std::string cg_row_json(const CgRow& row) { return row_json(row); }
+std::string cholesky_row_json(const CholRow& row) { return row_json(row); }
+std::string ir_row_json(const IrRow& row) { return row_json(row); }
+std::string lu_ir_row_json(const LuIrRow& row) { return row_json(row); }
+std::string gmres_ir_row_json(const GmresIrRow& row) { return row_json(row); }
 
 std::string telemetry_results_json() {
   JsonWriter w;

@@ -52,25 +52,16 @@ class JsonWriter {
   std::vector<bool> need_comma_;  // per open container
 };
 
-/// Serialise one experiment grid.  `experiment` names the run (e.g. "cg",
-/// "cg_rescaled") and becomes the document's "experiment" field; `req` is
-/// the unified request the rows were produced from (its options are recorded
-/// in the document's "options" block for provenance).
-std::string cg_results_json(const std::string& experiment,
-                            const std::vector<CgRow>& rows,
-                            const SolveRequest& req);
-std::string cholesky_results_json(const std::string& experiment,
-                                  const std::vector<CholRow>& rows,
-                                  const SolveRequest& req);
-std::string ir_results_json(const std::string& experiment,
-                            const std::vector<IrRow>& rows,
-                            const SolveRequest& req);
-std::string lu_ir_results_json(const std::string& experiment,
-                               const std::vector<LuIrRow>& rows,
-                               const SolveRequest& req);
-std::string gmres_ir_results_json(const std::string& experiment,
-                                  const std::vector<GmresIrRow>& rows,
-                                  const SolveRequest& req);
+/// Serialise one experiment grid of CgRow, CholRow, IrRow, LuIrRow or
+/// GmresIrRow rows (explicitly instantiated for those five).  `experiment`
+/// names the run (e.g. "cg", "cg_rescaled") and becomes the document's
+/// "experiment" field; `req` is the unified request the rows were produced
+/// from (its options are recorded in the document's "options" block for
+/// provenance).
+template <class Row>
+std::string results_json(const std::string& experiment,
+                         const std::vector<Row>& rows,
+                         const SolveRequest& req);
 
 /// One result row as a standalone JSON object — exactly the bytes the same
 /// row gets inside a grid document's "rows" array.  serve responses embed

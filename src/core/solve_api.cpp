@@ -87,13 +87,6 @@ bool parse_solver(const std::string& s, Solver& out) noexcept {
 // ---------------------------------------------------------------------------
 // PrecisionTriple
 
-const std::vector<std::string>& factor_formats() {
-  // Keep in sync with the X-macro grids in experiments.cpp.
-  static const std::vector<std::string> v = {"f16",   "bf16", "p16_1",
-                                             "p16_2", "f32",  "p32_2"};
-  return v;
-}
-
 bool valid_factor(const std::string& s) noexcept {
   if (s == "grid") return true;
   for (const auto& f : factor_formats())

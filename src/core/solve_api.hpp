@@ -98,7 +98,8 @@ struct PrecisionTriple {
   }
 };
 
-/// Format tags accepted for PrecisionTriple::factor (besides "grid").
+/// Format tags accepted for PrecisionTriple::factor (besides "grid"): the
+/// "grid" formats in sweep order, then the single-column extras.
 [[nodiscard]] const std::vector<std::string>& factor_formats();
 [[nodiscard]] bool valid_factor(const std::string& s) noexcept;
 [[nodiscard]] bool valid_residual(const std::string& s) noexcept;

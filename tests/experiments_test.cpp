@@ -200,11 +200,11 @@ TEST(ExperimentGrid, CgSuiteDeterministicAcrossThreadCounts) {
   std::vector<core::CgRow> serial, parallel;
   {
     ThreadsEnv env("1");
-    serial = core::run_cg_suite(ms, req);
+    serial = core::run_suite(ms, core::run_cg_experiment, req);
   }
   {
     ThreadsEnv env("8");
-    parallel = core::run_cg_suite(ms, req);
+    parallel = core::run_suite(ms, core::run_cg_experiment, req);
   }
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -234,11 +234,11 @@ TEST(ExperimentGrid, CholeskySuiteDeterministicAcrossThreadCounts) {
   std::vector<core::CholRow> serial, parallel;
   {
     ThreadsEnv env("1");
-    serial = core::run_cholesky_suite(ms);
+    serial = core::run_suite(ms, core::run_cholesky_experiment);
   }
   {
     ThreadsEnv env("8");
-    parallel = core::run_cholesky_suite(ms);
+    parallel = core::run_suite(ms, core::run_cholesky_experiment);
   }
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -248,6 +248,28 @@ TEST(ExperimentGrid, CholeskySuiteDeterministicAcrossThreadCounts) {
     EXPECT_EQ(serial[i].p32_2.true_relres, parallel[i].p32_2.true_relres);
     EXPECT_EQ(serial[i].p32_3.true_relres, parallel[i].p32_3.true_relres);
   }
+}
+
+TEST(ExperimentGrid, IrSuiteDeterministicAcrossThreadCounts) {
+  const auto ms = small_suite();
+  core::SolveRequest req;  // what `pstab ir --higham` runs
+  req.solver = core::Solver::ir;
+  req.rescale = true;
+  const auto doc = [&] {
+    return core::results_json(
+        "ir_higham", core::run_suite(ms, core::run_ir_experiment, req), req);
+  };
+  std::string serial, parallel;
+  {
+    ThreadsEnv env("1");
+    serial = doc();
+  }
+  {
+    ThreadsEnv env("8");
+    parallel = doc();
+  }
+  EXPECT_NE(serial.find("\"bcsstk02\""), std::string::npos);
+  EXPECT_EQ(serial, parallel);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,12 +332,14 @@ TEST(ArtifactDeterminism, CgResultsByteIdenticalAcrossIsaAndThreads) {
   std::string native, scalar_isa;
   {
     ThreadsEnv env("8");
-    native = core::cg_results_json("cg", core::run_cg_suite(ms, req), req);
+    native = core::results_json(
+        "cg", core::run_suite(ms, core::run_cg_experiment, req), req);
   }
   {
     ThreadsEnv env("1");
     ForcedIsa f(simd::Isa::kScalar);
-    scalar_isa = core::cg_results_json("cg", core::run_cg_suite(ms, req), req);
+    scalar_isa = core::results_json(
+        "cg", core::run_suite(ms, core::run_cg_experiment, req), req);
   }
   EXPECT_EQ(native, scalar_isa);
 }

@@ -301,6 +301,15 @@ TEST(KernelsDispatch, UnsupportedScalarTypesStayScalar) {
   EXPECT_FALSE(ker::use_batched<double>(kBatched, 4096));
 }
 
+TEST(KernelsDispatch, AutoRoutesSoftFloatsBatched) {
+  // The SoftFloat batched leg reads as noise at the BLAS-1/2 level, but it
+  // is kept on purpose: end to end it carries the paper grid (docs/kernels.md
+  // has the numbers).  Deleting it must fail here first.
+  const ker::Context a{ker::Backend::Auto};
+  EXPECT_TRUE(ker::use_batched<Half>(a, 4096));
+  EXPECT_TRUE(ker::use_batched<BFloat16>(a, 4096));
+}
+
 // ---------------------------------------------------------------------------
 // Solver-level identity: the backend choice must not change a single bit of
 // any solve.
@@ -360,8 +369,8 @@ TEST(KernelsSolvers, BatchedArtifactsThreadCountInvariant) {
 
   const auto run = [&](const char* threads) {
     ThreadsEnv env(threads);
-    const auto rows = core::run_cg_suite(suite, req);
-    return core::cg_results_json("cg", rows, req);
+    const auto rows = core::run_suite(suite, core::run_cg_experiment, req);
+    return core::results_json("cg", rows, req);
   };
   const std::string doc1 = run("1");
   const std::string doc8 = run("8");

@@ -277,6 +277,32 @@ TEST(PrecisionTriple, DistinguishesBatchKeysButNotRhsSeeds) {
   EXPECT_NE(a.batch_key(), b.batch_key());
 }
 
+TEST(PrecisionTriple, EveryFactorFormatSelectsExactlyItsColumn) {
+  // factor_formats() is what request validation accepts; a tag the general
+  // grids did not know would run as a silent zero-cell row.
+  const matrices::MatrixSpec* smallest = nullptr;
+  for (const auto& s : matrices::general_specs())
+    if (!smallest || s.n < smallest->n) smallest = &s;
+  const auto& m = matrices::suite_matrix(smallest->name);
+  const auto formats = [](const auto& row) {
+    std::vector<std::string> v;
+    for (const auto& c : row.cells) v.push_back(c.format);
+    return v;
+  };
+  core::SolveRequest req;
+  req.max_iter = 20;  // only the column selection is under test
+  for (const auto& tag : core::factor_formats()) {
+    req.precision.factor = tag;
+    const std::vector<std::string> want = {tag};
+    EXPECT_EQ(formats(core::run_lu_ir_experiment(m, req)), want);
+    EXPECT_EQ(formats(core::run_gmres_ir_experiment(m, req)), want);
+  }
+  req.precision.factor = "grid";
+  const std::vector<std::string> grid = {"f16", "bf16", "p16_1", "p16_2"};
+  EXPECT_EQ(formats(core::run_lu_ir_experiment(m, req)), grid);
+  EXPECT_EQ(formats(core::run_gmres_ir_experiment(m, req)), grid);
+}
+
 // ---------------------------------------------------------------------------
 // Thread-count independence of the new artifacts.
 
@@ -319,13 +345,13 @@ TEST(LuIrGrid, ArtifactBytesIdenticalAcrossThreadCounts) {
   std::string one, eight;
   {
     ThreadsEnv env("1");
-    one = core::lu_ir_results_json("lu_ir", core::run_lu_ir_suite(suite, req),
-                                   req);
+    one = core::results_json(
+        "lu_ir", core::run_suite(suite, core::run_lu_ir_experiment, req), req);
   }
   {
     ThreadsEnv env("8");
-    eight = core::lu_ir_results_json("lu_ir",
-                                     core::run_lu_ir_suite(suite, req), req);
+    eight = core::results_json(
+        "lu_ir", core::run_suite(suite, core::run_lu_ir_experiment, req), req);
   }
   EXPECT_EQ(one, eight);
 }
@@ -340,13 +366,15 @@ TEST(GmresIrGrid, ArtifactBytesIdenticalAcrossThreadCounts) {
   std::string one, eight;
   {
     ThreadsEnv env("1");
-    one = core::gmres_ir_results_json(
-        "gmres_ir", core::run_gmres_ir_suite(suite, req), req);
+    one = core::results_json(
+        "gmres_ir", core::run_suite(suite, core::run_gmres_ir_experiment, req),
+        req);
   }
   {
     ThreadsEnv env("8");
-    eight = core::gmres_ir_results_json(
-        "gmres_ir", core::run_gmres_ir_suite(suite, req), req);
+    eight = core::results_json(
+        "gmres_ir", core::run_suite(suite, core::run_gmres_ir_experiment, req),
+        req);
   }
   EXPECT_EQ(one, eight);
 }

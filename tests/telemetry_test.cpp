@@ -338,8 +338,8 @@ TEST_F(TelemetryTest, CountersAreThreadCountInvariant) {
   const auto run = [&](const char* threads) {
     ThreadsEnv env(threads);
     telemetry::reset();
-    const auto rows = core::run_cg_suite(suite, req);
-    return core::cg_results_json("cg", rows, req);
+    const auto rows = core::run_suite(suite, core::run_cg_experiment, req);
+    return core::results_json("cg", rows, req);
   };
 
   const std::string doc1 = run("1");

@@ -186,8 +186,9 @@ int cmd_cg(int argc, char** argv) {
   std::printf("  Posit(32,2) %s\n", cell(row.p32_2).c_str());
   std::printf("  Posit(32,3) %s\n", cell(row.p32_3).c_str());
   if (!p.json_path.empty())
-    return emit_json(p.json_path, core::cg_results_json(
-                                      p.req.experiment_name(), {row}, p.req));
+    return emit_json(p.json_path,
+                     core::results_json(p.req.experiment_name(),
+                                        std::vector{row}, p.req));
   return 0;
 }
 
@@ -210,8 +211,8 @@ int cmd_chol(int argc, char** argv) {
               cell(row.p32_3).c_str(), row.extra_digits(row.p32_3));
   if (!p.json_path.empty())
     return emit_json(p.json_path,
-                     core::cholesky_results_json(p.req.experiment_name(),
-                                                 {row}, p.req));
+                     core::results_json(p.req.experiment_name(),
+                                        std::vector{row}, p.req));
   return 0;
 }
 
@@ -233,9 +234,9 @@ int cmd_ir(int argc, char** argv) {
   std::printf("  Posit(16,1) %s\n", cell(row.p16_1).c_str());
   std::printf("  Posit(16,2) %s\n", cell(row.p16_2).c_str());
   if (!p.json_path.empty())
-    return emit_json(
-        p.json_path,
-        core::ir_results_json(p.req.experiment_name(), {row}, p.req));
+    return emit_json(p.json_path,
+                     core::results_json(p.req.experiment_name(),
+                                        std::vector{row}, p.req));
   return 0;
 }
 
@@ -252,9 +253,9 @@ int cmd_lu_ir(int argc, char** argv) {
     std::printf("  %-6s %s\n", c.format.c_str(),
                 lu_ir_cell_text(c.rep).c_str());
   if (!p.json_path.empty())
-    return emit_json(
-        p.json_path,
-        core::lu_ir_results_json(p.req.experiment_name(), {row}, p.req));
+    return emit_json(p.json_path,
+                     core::results_json(p.req.experiment_name(),
+                                        std::vector{row}, p.req));
   return 0;
 }
 
@@ -275,9 +276,9 @@ int cmd_gmres_ir(int argc, char** argv) {
   std::printf("  rescued: %d of %zu formats\n", row.rescue_count(),
               row.cells.size());
   if (!p.json_path.empty())
-    return emit_json(
-        p.json_path,
-        core::gmres_ir_results_json(p.req.experiment_name(), {row}, p.req));
+    return emit_json(p.json_path,
+                     core::results_json(p.req.experiment_name(),
+                                        std::vector{row}, p.req));
   return 0;
 }
 
