@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cmath>
+#include <optional>
 
 #include "la/ir.hpp"
 #include "la/lu.hpp"
@@ -15,9 +16,7 @@
 
 namespace pstab::la {
 
-struct LuIrReport : SolveReport {
-  double final_berr = 0.0;           // normwise backward error at exit
-  double factorization_error = 0.0;  // ||P A_h - L U||_F / ||A_h||_F (double)
+struct LuIrReport : RefineReport {
   LuStatus lu_status = LuStatus::ok;
   int inner_iterations = 0;  // total GMRES iterations (GMRES-IR only)
 };
@@ -50,23 +49,20 @@ template <class F>
 
 namespace detail {
 
-// The shared O(n^3)-in-F stage: cast (optionally pre-equilibrated) A down,
-// factor with partial pivoting, promote to double.  `fact_in` must be exactly
-// lu_factor(cast) output (e.g. from the serve ArtifactCache) so the
-// refinement is bit-identical to the factor-here path.
+/// The LU "factor in F, promote to double" setup of lu_ir and gmres_ir_lu:
+/// cast src (A, or the pre-equilibrated As) down, factor with partial
+/// pivoting, record status and factorization error in rep, and return the
+/// factors promoted to double -- or nothing when the factorization failed.
+/// `fact_in`, when set, must be exactly lu_factor(fl_F(src)) (e.g. from the
+/// serve ArtifactCache), so the refinement is bit-identical to the
+/// factor-here path.
 template <class F>
-struct LuIrSetup {
-  LuResult<double> fd;  // promoted factors + perm
-  bool ok = false;
-};
-
-template <class F>
-LuIrSetup<F> lu_ir_setup(LuIrReport& rep, const Dense<double>& A,
-                         const IrOptions& opt,
-                         const Dense<double>* As_source,
-                         const LuResult<F>* fact_in) {
-  LuIrSetup<F> s;
-  const Dense<double>& src = As_source ? *As_source : A;
+std::optional<LuResult<double>> lu_ir_setup(LuIrReport& rep,
+                                            const Dense<double>& src,
+                                            const IrOptions& opt,
+                                            const LuResult<F>* fact_in) {
+  if (opt.record_trace) rep.trace = std::make_shared<telemetry::Trace>();
+  telemetry::TraceSpan fact_span(rep.trace.get(), "factorize");
   const Dense<F> Ah = src.template cast_clamped<F>();
   LuResult<F> fact_local;
   if (!fact_in) fact_local = lu_factor(Ah);
@@ -74,23 +70,36 @@ LuIrSetup<F> lu_ir_setup(LuIrReport& rep, const Dense<double>& A,
   rep.lu_status = fact.status;
   if (fact.status != LuStatus::ok) {
     rep.status = SolveStatus::factorization_failed;
-    return s;
+    return std::nullopt;
   }
-  if (opt.record_factorization_error)
-    rep.factorization_error = lu_backward_error(Ah, fact);
-  s.fd.status = LuStatus::ok;
-  s.fd.lu = fact.lu.template cast<double>();
-  s.fd.perm = fact.perm;
-  s.ok = true;
-  return s;
+  rep.factorization_error = lu_backward_error(Ah, fact);
+  LuResult<double> fd;
+  fd.status = LuStatus::ok;
+  fd.lu = fact.lu.template cast<double>();
+  fd.perm = fact.perm;
+  return fd;
+}
+
+/// Solve of the ORIGINAL system with the promoted LU factors: plain
+/// (LU)^{-1} r, or through the equilibration that produced them:
+/// diag(col) · (LU)^{-1} · diag(row) · r.
+inline Vec<double> lu_correction(const LuResult<double>& fd,
+                                 const scaling::GeneralScaling* gs,
+                                 Vec<double> r) {
+  const int n = int(r.size());
+  if (gs)
+    for (int i = 0; i < n; ++i) r[i] *= gs->row[i];
+  Vec<double> d = lu_solve(fd, r);
+  if (gs)
+    for (int i = 0; i < n; ++i) d[i] *= gs->col[i];
+  return d;
 }
 
 }  // namespace detail
 
 /// Plain LU-IR.  With `gs`/`As_source` set (As_source = diag(row)·A·diag(col)
 /// already applied), the correction solve runs through the equilibrated
-/// factors while the refinement still targets the ORIGINAL system:
-/// d = diag(col) · (LU)^{-1} · diag(row) · r.
+/// factors while the refinement still targets the ORIGINAL system.
 template <class F>
 LuIrReport lu_ir(const Dense<double>& A, const Vec<double>& b, Vec<double>& x,
                  const IrOptions& opt = {},
@@ -98,58 +107,13 @@ LuIrReport lu_ir(const Dense<double>& A, const Vec<double>& b, Vec<double>& x,
                  const Dense<double>* As_source = nullptr,
                  const LuResult<F>* fact_in = nullptr) {
   LuIrReport rep;
-  const int n = A.rows();
-  if (opt.record_trace) rep.trace = std::make_shared<telemetry::Trace>();
-  telemetry::Trace* tr = rep.trace.get();
-
-  telemetry::TraceSpan fact_span(tr, "factorize");
-  const auto setup = detail::lu_ir_setup<F>(rep, A, opt, As_source, fact_in);
-  fact_span.close();
-  if (!setup.ok) return rep;
-
-  telemetry::TraceSpan refine_span(tr, "refine");
-  const double norm_a = kernels::norm_inf(A);
-  const double norm_b = kernels::norm_inf_d(b);
-  x.assign(n, 0.0);
-
-  double first_berr = -1.0;
-  for (int it = 1; it <= opt.max_iter; ++it) {
-    // One budget tick per refinement step (the deterministic work unit); on
-    // exhaustion the report keeps the berr/history recorded so far.
-    if (!core::budget_tick(opt.budget)) {
-      rep.status = SolveStatus::deadline_exceeded;
-      return rep;
-    }
-    Vec<double> r = ir_residual(A, b, x, opt.residual);
-    if (gs)
-      for (int i = 0; i < n; ++i) r[i] *= gs->row[i];
-    Vec<double> d = lu_solve(setup.fd, r);
-    if (gs)
-      for (int i = 0; i < n; ++i) d[i] *= gs->col[i];
-    for (int i = 0; i < n; ++i) x[i] += d[i];
-
-    const Vec<double> r2 = ir_residual(A, b, x, opt.residual);
-    const double berr =
-        kernels::norm_inf_d(r2) / (norm_a * kernels::norm_inf_d(x) + norm_b);
-    rep.final_berr = berr;
-    rep.iterations = it;
-    if (opt.record_history) rep.history.push_back(berr);
-    if (tr) tr->residual(berr);
-    if (berr <= opt.tol) {
-      rep.status = SolveStatus::converged;
-      return rep;
-    }
-    // Same divergence taxonomy as mixed_ir (la/ir.hpp): overflowed
-    // correction, information-free factorization, or a 1e4x blow-up.
-    const bool catastrophic_first = first_berr < 0 && berr > 0.9;
-    if (first_berr < 0) first_berr = berr;
-    if (!std::isfinite(berr) || catastrophic_first ||
-        (berr > 1e4 * first_berr && berr > 1e-2)) {
-      rep.status = SolveStatus::diverged;
-      return rep;
-    }
+  const auto fd =
+      detail::lu_ir_setup<F>(rep, As_source ? *As_source : A, opt, fact_in);
+  if (fd) {
+    refine(rep, A, b, x, opt, [&](Vec<double> r) {
+      return detail::lu_correction(*fd, gs, std::move(r));
+    });
   }
-  rep.status = SolveStatus::max_iterations;
   return rep;
 }
 

@@ -1,9 +1,10 @@
 // Mixed-precision escalation for iterative refinement.
 //
-// la::mixed_ir<F> is templated on the factorization format F, so escalating
-// "one precision tier up" changes a template argument — it cannot live inside
-// the solver.  ir_escalate<F> wraps it: when the solve comes back
-// factorization_failed or diverged and ResilientOptions{enabled, escalate}
+// The refinement drivers (la::mixed_ir<F>, la::lu_ir<F>) are templated on the
+// factorization format F, so escalating "one precision tier up" changes a
+// template argument -- it cannot live inside the solver.  escalate<F> wraps
+// one solve per rung: when the solve comes back factorization_failed,
+// diverged or max_iterations and ResilientOptions{enabled, escalate}
 // allows, it re-runs the whole solve with F promoted along
 //
 //   Half -> Float32Emu -> double          (IEEE ladder)
@@ -13,7 +14,8 @@
 // at most max_escalations rungs.  Each rung is recorded as an
 // "escalate:<format>" RecoveryEvent prepended to the final report's recovery
 // trail, so a corrected run is distinguishable from a first-try success.
-// With recovery disabled this is exactly one mixed_ir<F> call.
+// With recovery disabled this is exactly one solve in the requested format.
+// ir_escalate and lu_ir_escalate put mixed_ir and lu_ir on it.
 #pragma once
 
 #include <string>
@@ -51,23 +53,20 @@ struct NextTier<Posit16_2> {
   using type = Posit32_2;
 };
 
-template <class F>
-la::IrReport ir_escalate(const la::Dense<double>& A, const la::Vec<double>& b,
-                         la::Vec<double>& x, const la::IrOptions& opt = {},
-                         const scaling::HighamScaling* hs = nullptr,
-                         const la::Dense<double>* Ah_source = nullptr,
-                         int budget = -1) {
-  if (budget < 0) budget = opt.resilience.max_escalations;
-  la::IrReport rep = la::mixed_ir<F>(A, b, x, opt, hs, Ah_source);
+/// The ladder: `solve(std::type_identity<F>{}, rung)` runs one solve in
+/// format F (rung 0 is the requested format) and returns its report;
+/// `budget` rungs remain.
+template <class F, class Solve>
+auto escalate(const la::ResilientOptions& res, int budget, const Solve& solve,
+              int rung = 0) {
+  auto rep = solve(std::type_identity<F>{}, rung);
   // max_iterations counts as failure here: a tier that cannot contract within
   // the cap will not be saved by more of the same precision, and escalating
   // is what keeps an injected campaign free of hangs.
-  const bool failed = rep.status == la::IrStatus::factorization_failed ||
-                      rep.status == la::IrStatus::diverged ||
-                      rep.status == la::IrStatus::max_iterations;
-  if (!failed || budget <= 0 || !opt.resilience.enabled ||
-      !opt.resilience.escalate)
-    return rep;
+  const bool failed = rep.status == la::SolveStatus::factorization_failed ||
+                      rep.status == la::SolveStatus::diverged ||
+                      rep.status == la::SolveStatus::max_iterations;
+  if (!failed || budget <= 0 || !res.enabled || !res.escalate) return rep;
   using G = typename NextTier<F>::type;
   if constexpr (std::is_void_v<G>) {
     return rep;
@@ -75,50 +74,45 @@ la::IrReport ir_escalate(const la::Dense<double>& A, const la::Vec<double>& b,
     std::vector<la::RecoveryEvent> trail = std::move(rep.recovery);
     trail.push_back({rep.iterations,
                      std::string("escalate:") + scalar_traits<G>::name(),
-                     double(opt.resilience.max_escalations - budget + 1)});
-    // Escalation re-reads the factorization input from the authoritative
-    // source.  A Higham-scaled Ah_source is part of the algorithm and is
-    // kept; an unscaled one stands in for the (possibly corrupted)
-    // low-precision cast buffer, which a fresh cast from A leaves behind.
-    const la::Dense<double>* src = hs ? Ah_source : nullptr;
-    la::IrReport up = ir_escalate<G>(A, b, x, opt, hs, src, budget - 1);
+                     double(res.max_escalations - budget + 1)});
+    auto up = escalate<G>(res, budget - 1, solve, rung + 1);
     up.recovery.insert(up.recovery.begin(), trail.begin(), trail.end());
     return up;
   }
 }
 
-/// The general-systems analogue of ir_escalate: la::lu_ir<F> with the same
-/// NextTier ladder and "escalate:<format>" recovery trail.  Equilibration
-/// (gs/As_source) is part of the algorithm and is kept across rungs, exactly
-/// like a Higham-scaled Ah_source above.
+/// la::mixed_ir<F> on the ladder.  Escalation re-reads the factorization
+/// input from the authoritative source: a Higham-scaled Ah_source is part of
+/// the algorithm and is kept on every rung, while an unscaled one stands in
+/// for the (possibly corrupted) low-precision cast buffer and is left behind
+/// after rung 0 for a fresh cast from A.
+template <class F>
+la::IrReport ir_escalate(const la::Dense<double>& A, const la::Vec<double>& b,
+                         la::Vec<double>& x, const la::IrOptions& opt = {},
+                         const scaling::HighamScaling* hs = nullptr,
+                         const la::Dense<double>* Ah_source = nullptr) {
+  return escalate<F>(opt.resilience, opt.resilience.max_escalations,
+                     [&](auto format, int rung) {
+                       using G = typename decltype(format)::type;
+                       return la::mixed_ir<G>(
+                           A, b, x, opt, hs,
+                           rung == 0 || hs ? Ah_source : nullptr);
+                     });
+}
+
+/// la::lu_ir<F> on the ladder.  Equilibration (gs/As_source) is part of the
+/// algorithm and is kept on every rung, like a Higham-scaled Ah_source.
 template <class F>
 la::LuIrReport lu_ir_escalate(const la::Dense<double>& A,
                               const la::Vec<double>& b, la::Vec<double>& x,
                               const la::IrOptions& opt = {},
                               const scaling::GeneralScaling* gs = nullptr,
-                              const la::Dense<double>* As_source = nullptr,
-                              int budget = -1) {
-  if (budget < 0) budget = opt.resilience.max_escalations;
-  la::LuIrReport rep = la::lu_ir<F>(A, b, x, opt, gs, As_source);
-  const bool failed = rep.status == la::SolveStatus::factorization_failed ||
-                      rep.status == la::SolveStatus::diverged ||
-                      rep.status == la::SolveStatus::max_iterations;
-  if (!failed || budget <= 0 || !opt.resilience.enabled ||
-      !opt.resilience.escalate)
-    return rep;
-  using G = typename NextTier<F>::type;
-  if constexpr (std::is_void_v<G>) {
-    return rep;
-  } else {
-    std::vector<la::RecoveryEvent> trail = std::move(rep.recovery);
-    trail.push_back({rep.iterations,
-                     std::string("escalate:") + scalar_traits<G>::name(),
-                     double(opt.resilience.max_escalations - budget + 1)});
-    la::LuIrReport up = lu_ir_escalate<G>(A, b, x, opt, gs, As_source,
-                                          budget - 1);
-    up.recovery.insert(up.recovery.begin(), trail.begin(), trail.end());
-    return up;
-  }
+                              const la::Dense<double>* As_source = nullptr) {
+  return escalate<F>(opt.resilience, opt.resilience.max_escalations,
+                     [&](auto format, int) {
+                       using G = typename decltype(format)::type;
+                       return la::lu_ir<G>(A, b, x, opt, gs, As_source);
+                     });
 }
 
 }  // namespace pstab::resilience
