@@ -151,7 +151,6 @@ CgRow run_cg_experiment(const matrices::GeneratedMatrix& m,
   cg.max_iter = req.effective_max_iter(m.n);
   cg.fused_dots = req.fused_dots;
   cg.record_history = req.record_history;
-  cg.record_trace = req.record_trace;
   cg.kernels = req.kernel_context();
   cg.resilience = req.resilient_options();
 
@@ -331,7 +330,6 @@ la::IrReport ir_one_format(const matrices::GeneratedMatrix& m,
   iro.tol = req.effective_tol();
   iro.max_iter = req.effective_max_iter(m.n);
   iro.record_history = req.record_history;
-  iro.record_trace = req.record_trace;
   iro.kernels = req.kernel_context();
   iro.resilience = req.resilient_options();
   const bool deadline = has_deadline(req);
@@ -510,7 +508,6 @@ la::IrOptions general_ir_options(const matrices::GeneratedMatrix& m,
   o.max_iter = req.effective_max_iter(m.n);
   o.residual = residual_prec(req.effective_residual());
   o.record_history = req.record_history;
-  o.record_trace = req.record_trace;
   o.kernels = req.kernel_context();
   o.resilience = req.resilient_options();
   return o;

@@ -1,12 +1,11 @@
 #include "core/solve_api.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/experiments.hpp"
 #include "core/report_json.hpp"
-#include "core/telemetry/telemetry.hpp"
 #include "la/dense.hpp"
 #include "matrices/suite.hpp"
 
@@ -109,9 +108,9 @@ double SolveRequest::effective_tol() const noexcept {
 int SolveRequest::effective_max_iter(int n) const noexcept {
   if (max_iter > 0) return max_iter;
   const SolverInfo& info = solver_info(solver);
-  if (info.iters_scale_with_n)
-    return (max_iter_per_n > 0 ? max_iter_per_n : info.default_max_iter) * n;
-  return info.default_max_iter;
+  if (!info.iters_scale_with_n) return info.default_max_iter;
+  const int per_n = max_iter_per_n > 0 ? max_iter_per_n : info.default_max_iter;
+  return int(std::min<std::int64_t>(std::int64_t(per_n) * n, INT_MAX));
 }
 
 std::string SolveRequest::effective_residual() const {
@@ -136,7 +135,29 @@ std::string SolveRequest::precision_error() const {
   if (solver == Solver::ir && precision.factor != "grid")
     return "solver 'ir' runs its fixed f16/p16_1/p16_2 grid (factor must be "
            "\"grid\")";
+  // The general-systems runners call lu_ir / gmres_ir_lu directly: no LU
+  // path reads IrOptions::resilience, so the switch would select nothing.
+  if (resilience && (solver == Solver::lu_ir || solver == Solver::gmres_ir))
+    return std::string("solver '") + to_string(solver) +
+           "' has no recovery path (resilience must be false)";
   return {};
+}
+
+std::string SolveRequest::validation_error() const {
+  const auto spec = matrices::find_spec(matrix);
+  if (!spec) return "unknown matrix '" + matrix + "'";
+  const SolverInfo& info = solver_info(solver);
+  if (info.requires_spd && !spec->spd)
+    return std::string("solver '") + info.name + "' requires an SPD matrix ('" +
+           matrix + "' is general; use lu_ir or gmres_ir)";
+  // The large-n tier is CSR-only (no dense image is ever materialized);
+  // every solver except CG densifies, so reject up front with a real
+  // message instead of factorizing an empty matrix.
+  if (spec->sparse_only && solver != Solver::cg)
+    return std::string("solver '") + info.name +
+           "' needs a dense image, but '" + matrix +
+           "' is a sparse-only large-n matrix (use cg)";
+  return precision_error();
 }
 
 std::string SolveRequest::experiment_name() const {
@@ -148,10 +169,10 @@ std::string SolveRequest::batch_key() const {
   char buf[224];
   std::snprintf(
       buf, sizeof buf,
-      "|r%d|t%.17g|m%d|mn%d|fd%d|h%d|res%d|bt%d|k%s|b%d|pf%s|pw%s|pr%s",
+      "|r%d|t%.17g|m%d|mn%d|fd%d|h%d|res%d|bt%d|k%s|pf%s|pw%s|pr%s",
       int(rescale), tol, max_iter, max_iter_per_n, int(fused_dots),
       int(record_history), int(resilience), budget_ticks,
-      la::kernels::to_string(backend), block, precision.factor.c_str(),
+      la::kernels::to_string(backend), precision.factor.c_str(),
       precision.working.c_str(), precision.residual.c_str());
   return std::string(to_string(solver)) + "|" + matrix + buf;
 }
@@ -190,107 +211,11 @@ std::string digest_hex(std::uint64_t d) {
 }
 
 bool parse_backend(const std::string& s, la::kernels::Backend& out) noexcept {
-  if (s == "scalar") out = la::kernels::Backend::Scalar;
-  else if (s == "batched") out = la::kernels::Backend::Batched;
-  else if (s == "simd") out = la::kernels::Backend::Simd;
-  else if (s == "auto") out = la::kernels::Backend::Auto;
-  else return false;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// CLI parser
-
-CliParse parse_solver_cli(Solver solver, const std::string& matrix, int argc,
-                          char** argv, int first) {
-  CliParse p;
-  p.req.solver = solver;
-  p.req.matrix = matrix;
-  const auto value_missing = [&p](const char* flag) {
-    p.ok = false;
-    p.error = std::string("flag '") + flag + "' requires a value";
-  };
-  for (int i = first; i < argc && p.ok; ++i) {
-    const char* a = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(a, "--rescale") == 0 || std::strcmp(a, "--higham") == 0) {
-      p.req.rescale = true;
-    } else if (std::strcmp(a, "--fused") == 0) {
-      p.req.fused_dots = true;
-    } else if (std::strcmp(a, "--history") == 0) {
-      p.req.record_history = true;
-    } else if (std::strcmp(a, "--resilience") == 0) {
-      p.req.resilience = true;
-    } else if (std::strcmp(a, "--json") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.json_path = argv[++i];
-    } else if (std::strcmp(a, "--tol") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.tol = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(a, "--max-iter") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.max_iter = int(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(a, "--max-iter-per-n") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.max_iter_per_n = int(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(a, "--rhs-seed") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.rhs_seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(a, "--budget") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      char* end = nullptr;
-      const long v = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 0) {
-        p.ok = false;
-        p.error = std::string("--budget expects a non-negative tick count, "
-                              "got '") + argv[i] + "'";
-      } else {
-        p.req.budget_ticks = int(v);
-      }
-    } else if (std::strcmp(a, "--kernels") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      if (!parse_backend(argv[++i], p.req.backend)) {
-        p.ok = false;
-        p.error = std::string("unknown backend '") + argv[i] + "'";
-      }
-    } else if (std::strcmp(a, "--block") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      char* end = nullptr;
-      const long v = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 0) {
-        p.ok = false;
-        p.error = std::string("--block expects a non-negative panel width, "
-                              "got '") + argv[i] + "'";
-      } else {
-        p.req.block = int(v);
-      }
-    } else if (std::strcmp(a, "--factor") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.precision.factor = argv[++i];
-    } else if (std::strcmp(a, "--working") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.precision.working = argv[++i];
-    } else if (std::strcmp(a, "--residual") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.precision.residual = argv[++i];
-    } else {
-      p.ok = false;
-      p.error = std::string("unknown flag '") + a + "'";
-    }
-  }
-  if (p.ok) {
-    const std::string perr = p.req.precision_error();
-    if (!perr.empty()) {
-      p.ok = false;
-      p.error = perr;
-    }
-  }
-  // Artifacts embed telemetry counters, so recording must be on for the run.
-  if (p.ok && !p.json_path.empty()) {
-    telemetry::set_enabled(true);
-    telemetry::reset();
-  }
-  return p;
+  using la::kernels::Backend;
+  for (const Backend b :
+       {Backend::Scalar, Backend::Batched, Backend::Simd, Backend::Auto})
+    if (s == la::kernels::to_string(b)) { out = b; return true; }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -300,32 +225,9 @@ SolveResponse run_request(const SolveRequest& req, ArtifactCache* cache) {
   SolveResponse resp;
   resp.id = req.id;
   try {
-    const auto spec = matrices::find_spec(req.matrix);
-    if (!spec) {
-      resp.error = "unknown matrix '" + req.matrix + "'";
-      return resp;
-    }
+    resp.error = req.validation_error();
+    if (!resp.error.empty()) return resp;
     const SolverInfo& info = solver_info(req.solver);
-    if (info.requires_spd && !spec->spd) {
-      resp.error = std::string("solver '") + info.name +
-                   "' requires an SPD matrix ('" + req.matrix +
-                   "' is general; use lu_ir or gmres_ir)";
-      return resp;
-    }
-    // The large-n tier is CSR-only (no dense image is ever materialized);
-    // every solver except CG densifies, so reject up front with a real
-    // message instead of factorizing an empty matrix.
-    if (spec->sparse_only && req.solver != Solver::cg) {
-      resp.error = std::string("solver '") + info.name +
-                   "' needs a dense image, but '" + req.matrix +
-                   "' is a sparse-only large-n matrix (use cg)";
-      return resp;
-    }
-    const std::string perr = req.precision_error();
-    if (!perr.empty()) {
-      resp.error = perr;
-      return resp;
-    }
     const std::string resp_key = "resp/" + req.canonical_key();
     if (cache) {
       if (auto hit = cache->get(resp_key)) {

@@ -1,11 +1,9 @@
 // The one request/response pair every solve in the tree goes through.
 //
-// Historically each experiment carried its own options struct
-// (CgExperimentOptions / CholExperimentOptions / IrExperimentOptions) and the
-// CLI re-parsed the same flags per subcommand.  core::SolveRequest replaces
-// all three: the CLI subcommands, the experiment grid runners (bench/), and
-// the serve engine (src/serve) construct the same struct and dispatch through
-// run_request().  On the wire the pair is serialized as "pstab-serve-v1"
+// The CLI subcommands, the experiment grid runners (bench/) and the serve
+// engine (src/serve) build the same struct and dispatch through
+// run_request(); the CLI and the wire parse it with the same per-key rules.
+// On the wire the pair is serialized as "pstab-serve-v1"
 // (src/serve/protocol.hpp); responses reuse the report_json row emitters, so
 // a serve response body is byte-identical to the corresponding row of a
 // pstab-results-v1 artifact.
@@ -122,8 +120,8 @@ struct SolveRequest {
   int max_iter_per_n = 0;    // CG only: cap = max_iter_per_n * n; 0 = 15
   bool fused_dots = false;   // CG quire ablation
   bool record_history = false;
-  bool record_trace = false; // traces hold wall times; never serialized
   bool resilience = false;   // self-healing with la::ResilientOptions defaults
+                             // (cg, cholesky and ir; lu_ir/gmres_ir reject it)
 
   // 0 = the paper's deterministic RHS (b = A * (1/sqrt(n), ...)).  Nonzero
   // seeds a random unit xhat instead, so a request stream can carry many
@@ -136,14 +134,6 @@ struct SolveRequest {
   PrecisionTriple precision;
 
   la::kernels::Backend backend = la::kernels::Backend::Auto;
-
-  // Panel width for the blocked factorizations (la/blocked.hpp): 0 = auto
-  // (blocked above blocked::kAutoMinN with a size-picked width), >= 1 forces
-  // that width, a width >= n runs the unblocked reference loops.  Every
-  // width produces bit-identical factors — this knob trades wall-clock only
-  // — but it participates in batch_key/canonical_key so cached timings and
-  // coalesced jobs stay attributable to one configuration.
-  int block = 0;
 
   // Deterministic deadline in work units (iteration / factorization-column
   // ticks; see core/budget.hpp).  0 = unlimited.  Each grid cell of the
@@ -165,16 +155,21 @@ struct SolveRequest {
   [[nodiscard]] double effective_tol() const noexcept;
   /// Iteration cap with the per-solver registry default applied (n = matrix
   /// order): CG 15n, IR/LU-IR 1000, GMRES-IR 100 outer, Cholesky 0 (direct).
+  /// A per-n cap times n is computed in 64 bits and clamped to INT_MAX.
   [[nodiscard]] int effective_max_iter(int n) const noexcept;
   /// precision.residual with "auto" resolved to the solver's registry
   /// default ("f64" for cg/cholesky/ir, "dd" for lu_ir/gmres_ir).
   [[nodiscard]] std::string effective_residual() const;
-  /// Empty when precision is valid for this request's solver; otherwise a
-  /// human-readable error naming the offending member.  Shared by the CLI,
-  /// the serve parser and run_request.
+  /// Empty when precision (and the resilience switch) fit this request's
+  /// solver; otherwise a human-readable error naming the offending member.
   [[nodiscard]] std::string precision_error() const;
+  /// Empty when the request can run: a known matrix that suits the solver
+  /// (SPD where required, a dense image for every solver but CG) and an
+  /// empty precision_error().  The CLI and run_request both reject on it;
+  /// the wire parser does not, so every parsed request still round-trips.
+  [[nodiscard]] std::string validation_error() const;
   [[nodiscard]] la::kernels::Context kernel_context() const noexcept {
-    return la::kernels::Context{backend, block};
+    return la::kernels::Context{backend};
   }
   [[nodiscard]] la::ResilientOptions resilient_options() const noexcept {
     la::ResilientOptions r;
@@ -183,10 +178,11 @@ struct SolveRequest {
   }
   /// "cg" / "cg_rescaled" / "cholesky" / ... — the artifact experiment tag.
   [[nodiscard]] std::string experiment_name() const;
-  /// Canonical identity of the work this request names, excluding `id` (and
-  /// `record_trace`, which never changes serialized bytes).  Equal keys mean
-  /// byte-identical result rows; the serve engine memoizes responses and
-  /// coalesces duplicate in-flight work on this string.
+  /// Canonical identity of the work this request names, excluding `id`.
+  /// Equal keys mean byte-identical result rows; the serve engine memoizes
+  /// responses and coalesces duplicate in-flight work on this string.  The
+  /// key lists the wire fields by hand; tests/serve_test.cpp pins that a
+  /// change to any one of them changes the key.
   [[nodiscard]] std::string canonical_key() const;
   /// canonical_key() minus the right-hand side: requests equal under this key
   /// share matrix, scaling and factorization, so the engine batches them into
@@ -246,25 +242,6 @@ class ArtifactCache {
     std::uint64_t h = 0xcbf29ce484222325ull) noexcept;
 [[nodiscard]] std::uint64_t dense_digest(const la::Dense<double>& A) noexcept;
 [[nodiscard]] std::string digest_hex(std::uint64_t d);
-
-// ---------------------------------------------------------------------------
-// The unified CLI parser (satellite: every parse failure names the offending
-// token and the caller exits non-zero)
-
-struct CliParse {
-  SolveRequest req;
-  std::string json_path;  // --json <path>; empty = no artifact
-  bool ok = true;
-  std::string error;      // human-readable, contains the offending token
-};
-
-/// Parse the flags of a `pstab cg|chol|ir <matrix> [flags...]` invocation
-/// into a SolveRequest, starting at argv[first].  Shared by all three solver
-/// subcommands; serve scripts reach the same struct through
-/// serve::request_from_json instead.
-[[nodiscard]] CliParse parse_solver_cli(Solver solver,
-                                        const std::string& matrix, int argc,
-                                        char** argv, int first);
 
 // ---------------------------------------------------------------------------
 // Dispatch

@@ -89,17 +89,15 @@ void Engine::submit(const core::SolveRequest& req, DoneFn done) {
         ++rejected_;
     } else {
       ++in_flight_;
-      if (opt_.coalesce) {
-        const auto it = pending_.find(key);
-        if (it != pending_.end() && !it->second->started) {
-          it->second->items.emplace_back(req, std::move(done));
-          ++coalesced_;
-          return;  // joined a queued batch; no new pool job
-        }
+      const auto it = pending_.find(key);
+      if (it != pending_.end() && !it->second->started) {
+        it->second->items.emplace_back(req, std::move(done));
+        ++coalesced_;
+        return;  // joined a queued batch; no new pool job
       }
       batch = std::make_shared<Batch>();
       batch->items.emplace_back(req, std::move(done));
-      if (opt_.coalesce) pending_[key] = batch;
+      pending_[key] = batch;
       ++batches_;
     }
   }
@@ -260,6 +258,27 @@ std::string Engine::stats_json() {
   return w.str();
 }
 
+bool Engine::answer(std::string_view text, const ReplyFn& reply) {
+  Request req;
+  std::string err;
+  if (!request_from_json(text, req, err)) {
+    reply(req.solve.id, error_response_json(req.solve.id, err));
+    return false;
+  }
+  if (req.op == Op::solve) {
+    submit(req.solve, [reply](const core::SolveResponse& resp) {
+      reply(resp.id, response_json(resp));
+    });
+    return false;
+  }
+  // Graceful shutdown: in-flight work completes and is answered, anything
+  // submitted after this point gets the terminal "draining" error.
+  if (req.op == Op::shutdown) begin_drain();
+  drain();  // the counters cover everything submitted before this op
+  reply(req.solve.id, result_response_json(req.solve.id, stats_json()));
+  return req.op == Op::shutdown;
+}
+
 Engine::StreamEnd Engine::serve_stream(std::FILE* in, std::FILE* out) {
   // One mutex serializes response writers; `failed` (under the same mutex)
   // latches the first short write.  A dead peer stops costing anything: later
@@ -297,29 +316,10 @@ Engine::StreamEnd Engine::serve_stream(std::FILE* in, std::FILE* out) {
       drain();
       return StreamEnd::frame_error;
     }
-    Request req;
-    if (!request_from_json(payload, req, err)) {
-      send(error_response_json(req.solve.id, err));
-      continue;
-    }
-    switch (req.op) {
-      case Op::solve:
-        submit(req.solve, [&send](const core::SolveResponse& resp) {
-          send(response_json(resp));
-        });
-        break;
-      case Op::stats:
-        drain();  // counters cover everything submitted before this op
-        send(result_response_json(req.solve.id, stats_json()));
-        break;
-      case Op::shutdown:
-        // Graceful drain: in-flight work completes and is answered, anything
-        // submitted after this point gets the terminal "draining" error.
-        begin_drain();
-        drain();
-        send(result_response_json(req.solve.id, stats_json()));
-        return StreamEnd::shutdown;
-    }
+    if (answer(payload, [&send](std::uint64_t, const std::string& bytes) {
+          send(bytes);
+        }))
+      return StreamEnd::shutdown;
   }
 }
 
@@ -346,32 +346,10 @@ std::vector<std::string> Engine::run_script(const std::string& jsonl) {
     if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
 
     const std::size_t my_seq = seq++;
-    Request req;
-    std::string err;
-    if (!request_from_json(line, req, err)) {
-      add(req.solve.id, my_seq, error_response_json(req.solve.id, err));
-      continue;
-    }
-    switch (req.op) {
-      case Op::solve:
-        submit(req.solve,
-               [&add, my_seq](const core::SolveResponse& resp) {
-                 add(resp.id, my_seq, response_json(resp));
-               });
-        break;
-      case Op::stats:
-        drain();
-        add(req.solve.id, my_seq,
-            result_response_json(req.solve.id, stats_json()));
-        break;
-      case Op::shutdown:
-        begin_drain();
-        drain();
-        add(req.solve.id, my_seq,
-            result_response_json(req.solve.id, stats_json()));
-        shutdown = true;
-        break;
-    }
+    shutdown = answer(line, [&add, my_seq](std::uint64_t id,
+                                           const std::string& bytes) {
+      add(id, my_seq, bytes);
+    });
   }
   drain();
 

@@ -47,7 +47,6 @@ namespace pstab::serve {
 struct EngineOptions {
   int threads = 0;                       // 0 = PSTAB_THREADS / hardware
   std::size_t cache_bytes = 256u << 20;  // 0 disables caching
-  bool coalesce = true;
   std::size_t max_frame = kDefaultMaxFrame;
 
   // --- Admission control (all off by default; every limit produces a
@@ -94,9 +93,9 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Queue one solve; `done` runs on a pool thread when it completes.  With
-  /// coalescing on, the request may join a queued batch sharing its
-  /// batch_key instead of becoming a new pool job.  A request denied by
+  /// Queue one solve; `done` runs on a pool thread when it completes.  The
+  /// request may join a queued batch sharing its batch_key instead of
+  /// becoming a new pool job.  A request denied by
   /// admission control (caps, bounded queue, draining) gets its `done`
   /// called synchronously on THIS thread with a structured error
   /// ("rejected: ..." / "overloaded: ..." / "draining: ...") — backpressure
@@ -161,6 +160,11 @@ class Engine {
     bool tripped = false;
   };
 
+  using ReplyFn = std::function<void(std::uint64_t id, const std::string&)>;
+  /// Parse one request document and answer it through `reply` (from a pool
+  /// thread for solves; after a drain for stats and shutdown).  Returns true
+  /// for shutdown.  The one request path of serve_stream and run_script.
+  bool answer(std::string_view text, const ReplyFn& reply);
   void run_batch(const std::shared_ptr<Batch>& batch, const std::string& key);
   void watchdog_loop();
   /// Empty when admitted; otherwise the rejection error (pure function of

@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "core/report_json.hpp"
 
@@ -20,7 +22,9 @@ bool JsonValue::is_uint() const noexcept {
   if (kind != Kind::number || raw.empty()) return false;
   for (const char c : raw)
     if (c < '0' || c > '9') return false;  // no sign, no '.', no exponent
-  return raw.size() <= 20;                 // <= len("18446744073709551615")
+  // Fits in 64 bits: shorter than 2^64's 20 digits, or not above it.
+  return raw.size() < 20 ||
+         (raw.size() == 20 && raw <= "18446744073709551615");
 }
 
 std::uint64_t JsonValue::as_uint() const noexcept {
@@ -75,6 +79,7 @@ class Parser {
     pos_ += len;
     out.kind = kind;
     out.boolean = b;
+    out.raw = word;
     return true;
   }
 
@@ -275,25 +280,119 @@ FrameRead read_frame(std::FILE* in, std::string& payload,
 
 namespace {
 
+constexpr const char* kOpNames[] = {"solve", "stats", "shutdown"};  // by Op
+
 bool parse_op(const std::string& s, Op& out) {
-  if (s == "solve") out = Op::solve;
-  else if (s == "stats") out = Op::stats;
-  else if (s == "shutdown") out = Op::shutdown;
-  else return false;
-  return true;
+  for (std::size_t i = 0; i < std::size(kOpNames); ++i)
+    if (s == kOpNames[i]) { out = Op(i); return true; }
+  return false;
 }
 
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::solve: return "solve";
-    case Op::stats: return "stats";
-    case Op::shutdown: return "shutdown";
-  }
-  return "?";
+using V = const JsonValue&;
+
+bool type_error(std::string& err, const std::string& key, const char* want,
+                V v) {
+  // The value as the request spelled it (a string cut to 64 bytes).
+  err = "key '" + key + "' must be " + want + ", got ";
+  if (v.kind == JsonValue::Kind::string)
+    err.append("\"").append(v.raw, 0, 64).append("\"");
+  else if (v.kind == JsonValue::Kind::object) err += "an object";
+  else if (v.kind == JsonValue::Kind::array) err += "an array";
+  else err += v.raw;  // number token or literal
+  return false;
 }
 
-bool type_error(std::string& err, const std::string& key, const char* want) {
-  err = "key '" + key + "' must be " + want;
+// Value rules: each stores the value into its request member only when the
+// value passes.
+using Solve = core::SolveRequest;
+template <class T, class U>
+bool store(bool pass, T& out, const U& value) {
+  if (pass) out = T(value);
+  return pass;
+}
+template <bool Solve::*M>
+bool boolean(V v, Solve& s) {
+  return store(v.kind == JsonValue::Kind::boolean, s.*M, v.boolean);
+}
+template <std::uint64_t Solve::*M>
+bool u64(V v, Solve& s) {
+  return store(v.is_uint(), s.*M, v.as_uint());
+}
+// Iteration caps and tick budgets share one bound, so a cap times a matrix
+// order fits in 64 bits and every count fits the request's int.
+template <int Solve::*M>
+bool count(V v, Solve& s) {
+  return store(v.is_uint() && v.as_uint() <= 1000000000u, s.*M, v.as_uint());
+}
+template <std::string core::PrecisionTriple::*M>
+bool triple(V v, Solve& s) {
+  return store(v.kind == JsonValue::Kind::string, s.precision.*M, v.raw);
+}
+bool matrix(V v, Solve& s) {
+  return store(v.kind == JsonValue::Kind::string, s.matrix, v.raw);
+}
+bool tolerance(V v, Solve& s) {
+  return store(v.kind == JsonValue::Kind::number && std::isfinite(v.number) &&
+                   v.number >= 0,
+               s.tol, v.number);
+}
+// A registry name, through its parser (core::parse_solver / parse_backend).
+template <auto M, auto Parse>
+bool named(V v, Solve& s) {
+  return v.kind == JsonValue::Kind::string && Parse(v.raw, s.*M);
+}
+
+constexpr const char* kBoolean = "a boolean";
+constexpr const char* kCount = "an integer in [0, 1000000000]";
+constexpr const char* kUint = "a non-negative integer";
+constexpr const char* kString = "a string";
+
+// One row per request field: its wire key ("precision.x" is member x of the
+// nested triple), the CLI flag that sets it (the kBoolean rows are switches)
+// and the rule that reads it.  The wire and the CLI both parse through this
+// table, so a flag and its key accept exactly the same values.  Value checks
+// that depend on the solver (known formats, resilience) are
+// core::SolveRequest::precision_error's, run by the CLI and by run_request.
+struct Field {
+  const char* key;
+  const char* flag;  // nullptr = wire only
+  const char* want;  // "key 'K' must be <want>, got <value>"
+  bool (*read)(V, Solve&);
+};
+const Field kFields[] = {
+    {"id", nullptr, kUint, u64<&Solve::id>},
+    {"solver", nullptr,
+     "a registry solver name (\"cg\", \"cholesky\", \"ir\", \"lu_ir\", "
+     "\"gmres_ir\") or alias",
+     named<&Solve::solver, core::parse_solver>},
+    {"matrix", nullptr, kString, matrix},
+    {"rescale", "--rescale", kBoolean, boolean<&Solve::rescale>},
+    {"tol", "--tol", "a finite non-negative number", tolerance},
+    {"max_iter", "--max-iter", kCount, count<&Solve::max_iter>},
+    {"max_iter_per_n", "--max-iter-per-n", kCount,
+     count<&Solve::max_iter_per_n>},
+    {"fused_dots", "--fused", kBoolean, boolean<&Solve::fused_dots>},
+    {"history", "--history", kBoolean, boolean<&Solve::record_history>},
+    {"resilience", "--resilience", kBoolean, boolean<&Solve::resilience>},
+    {"rhs_seed", "--rhs-seed", kUint, u64<&Solve::rhs_seed>},
+    {"budget", "--budget", kCount, count<&Solve::budget_ticks>},
+    {"kernels", "--kernels", "\"scalar\", \"batched\", \"simd\" or \"auto\"",
+     named<&Solve::backend, core::parse_backend>},
+    {"precision.factor", "--factor", kString,
+     triple<&core::PrecisionTriple::factor>},
+    {"precision.working", "--working", kString,
+     triple<&core::PrecisionTriple::working>},
+    {"precision.residual", "--residual", kString,
+     triple<&core::PrecisionTriple::residual>},
+};
+
+/// The rule for one field, over an already-parsed value: the one place a
+/// request field is parsed and validated, for the wire and the CLI alike.
+bool read_field(const std::string& key, V v, Solve& s, std::string& err) {
+  for (const Field& f : kFields)
+    if (key == f.key)
+      return f.read(v, s) || type_error(err, key, f.want, v);
+  err = "unknown key '" + key + "'";
   return false;
 }
 
@@ -313,99 +412,64 @@ bool request_from_json(std::string_view text, Request& out, std::string& err) {
     err = std::string("schema must be \"") + kSchema + "\"";
     return false;
   }
-  bool saw_matrix = false, saw_solver = false;
   for (const auto& [key, v] : doc.members) {
     if (key == "schema") continue;
     if (key == "op") {
-      if (v.kind != JsonValue::Kind::string ||
-          !parse_op(v.raw, out.op))
-        return type_error(err, key, "\"solve\", \"stats\" or \"shutdown\"");
-    } else if (key == "id") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.id = v.as_uint();
-    } else if (key == "solver") {
-      if (v.kind != JsonValue::Kind::string ||
-          !core::parse_solver(v.raw, out.solve.solver))
-        return type_error(err, key,
-                          "a registry solver name (\"cg\", \"cholesky\", "
-                          "\"ir\", \"lu_ir\", \"gmres_ir\") or alias");
-      saw_solver = true;
-    } else if (key == "matrix") {
-      if (v.kind != JsonValue::Kind::string)
-        return type_error(err, key, "a string");
-      out.solve.matrix = v.raw;
-      saw_matrix = true;
-    } else if (key == "rescale") {
-      if (v.kind != JsonValue::Kind::boolean)
-        return type_error(err, key, "a boolean");
-      out.solve.rescale = v.boolean;
-    } else if (key == "tol") {
-      if (v.kind != JsonValue::Kind::number || v.number < 0)
-        return type_error(err, key, "a non-negative number");
-      out.solve.tol = v.number;
-    } else if (key == "max_iter") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.max_iter = int(v.as_uint());
-    } else if (key == "max_iter_per_n") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.max_iter_per_n = int(v.as_uint());
-    } else if (key == "fused_dots") {
-      if (v.kind != JsonValue::Kind::boolean)
-        return type_error(err, key, "a boolean");
-      out.solve.fused_dots = v.boolean;
-    } else if (key == "history") {
-      if (v.kind != JsonValue::Kind::boolean)
-        return type_error(err, key, "a boolean");
-      out.solve.record_history = v.boolean;
-    } else if (key == "resilience") {
-      if (v.kind != JsonValue::Kind::boolean)
-        return type_error(err, key, "a boolean");
-      out.solve.resilience = v.boolean;
-    } else if (key == "rhs_seed") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.rhs_seed = v.as_uint();
-    } else if (key == "budget") {
-      if (!v.is_uint() || v.as_uint() > 1000000000ull)
-        return type_error(err, key, "a non-negative tick count");
-      out.solve.budget_ticks = int(v.as_uint());
-    } else if (key == "kernels") {
-      la::kernels::Backend b = la::kernels::Backend::Auto;
-      if (v.kind != JsonValue::Kind::string ||
-          !core::parse_backend(v.raw, b))
-        return type_error(err, key,
-                          "\"scalar\", \"batched\", \"simd\" or \"auto\"");
-      out.solve.backend = b;
-    } else if (key == "block") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.block = int(v.as_uint());
+      if (v.kind != JsonValue::Kind::string || !parse_op(v.raw, out.op))
+        return type_error(err, key, "\"solve\", \"stats\" or \"shutdown\"", v);
     } else if (key == "precision") {
-      // The (u_f, u, u_r) triple as a nested object; unknown or non-string
-      // members are rejected with the same name-the-offender strictness as
-      // top-level keys.  Value validation (known formats, solver fit) is
-      // core::SolveRequest::precision_error's job, shared with the CLI.
       if (v.kind != JsonValue::Kind::object)
-        return type_error(err, key, "an object");
-      for (const auto& [pk, pv] : v.members) {
-        if (pv.kind != JsonValue::Kind::string)
-          return type_error(err, "precision." + pk, "a string");
-        if (pk == "factor") out.solve.precision.factor = pv.raw;
-        else if (pk == "working") out.solve.precision.working = pv.raw;
-        else if (pk == "residual") out.solve.precision.residual = pv.raw;
-        else {
-          err = "unknown key 'precision." + pk + "'";
+        return type_error(err, key, "an object", v);
+      for (const auto& [member, mv] : v.members)
+        if (!read_field("precision." + member, mv, out.solve, err))
           return false;
-        }
-      }
-    } else {
-      // The CLI's silent-typo fix, applied to the wire: an unrecognized key
-      // is an error naming the offender, never silently ignored.
-      err = "unknown key '" + key + "'";
+    } else if (key.find('.') != std::string::npos) {
+      err = "unknown key '" + key + "'";  // dotted keys live in "precision"
+      return false;
+    } else if (!read_field(key, v, out.solve, err)) {
       return false;
     }
   }
   if (out.op == Op::solve) {
-    if (!saw_solver) { err = "missing key 'solver'"; return false; }
-    if (!saw_matrix) { err = "missing key 'matrix'"; return false; }
+    if (!doc.find("solver")) { err = "missing key 'solver'"; return false; }
+    if (!doc.find("matrix")) { err = "missing key 'matrix'"; return false; }
+  }
+  return true;
+}
+
+bool request_from_cli(core::Solver solver, const std::string& matrix,
+                      int argc, char** argv, int first,
+                      core::SolveRequest& out, std::string& json_path,
+                      std::string& err) {
+  out = core::SolveRequest{};
+  out.solver = solver;
+  out.matrix = matrix;
+  for (int i = first; i < argc; ++i) {
+    // --higham is IR's spelling of --rescale (its scaling is Higham's).
+    const std::string a = std::strcmp(argv[i], "--higham") == 0 ? "--rescale"
+                                                                : argv[i];
+    const Field* f = nullptr;
+    for (const Field& c : kFields)
+      if (c.flag && a == c.flag) f = &c;
+    if (!f && a != "--json") { err = "unknown flag '" + a + "'"; return false; }
+    const bool is_switch = f && f->want == kBoolean;
+    if (!is_switch && i + 1 >= argc) {
+      err = "flag '" + a + "' requires a value";
+      return false;
+    }
+    if (!f) { json_path = argv[++i]; continue; }
+    JsonValue v;
+    v.kind = JsonValue::Kind::boolean;
+    v.boolean = true;
+    // A value token is a JSON number when it parses as one, else a string.
+    if (std::string ignored;
+        !is_switch && (!json_parse(argv[++i], v, ignored) ||
+                       v.kind != JsonValue::Kind::number)) {
+      v = JsonValue{};
+      v.kind = JsonValue::Kind::string;
+      v.raw = argv[i];
+    }
+    if (!read_field(f->key, v, out, err)) return false;
   }
   return true;
 }
@@ -414,7 +478,7 @@ std::string request_to_json(const Request& req) {
   core::JsonWriter w;
   w.begin_object();
   w.key("schema").value(kSchema);
-  w.key("op").value(op_name(req.op));
+  w.key("op").value(kOpNames[int(req.op)]);
   w.key("id").value(std::uint64_t(req.solve.id));
   if (req.op == Op::solve) {
     const core::SolveRequest& s = req.solve;
@@ -430,7 +494,6 @@ std::string request_to_json(const Request& req) {
     w.key("rhs_seed").value(std::uint64_t(s.rhs_seed));
     w.key("budget").value(s.budget_ticks);
     w.key("kernels").value(la::kernels::to_string(s.backend));
-    w.key("block").value(s.block);
     w.key("precision").begin_object();
     w.key("factor").value(s.precision.factor);
     w.key("working").value(s.precision.working);

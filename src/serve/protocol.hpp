@@ -7,12 +7,12 @@
 // for the connection; JSON errors inside a well-formed frame are per-request
 // and answered with an error response.
 //
-// Requests (strict: unknown keys are rejected so typos fail loudly, the same
-// contract the CLI parser gives flags):
+// Requests (strict: unknown keys are rejected so typos fail loudly):
 //   {"schema":"pstab-serve-v1","op":"solve","id":1,"solver":"cg",
 //    "matrix":"bcsstk02","rescale":false,"tol":0,"max_iter":0,
 //    "max_iter_per_n":0,"fused_dots":false,"history":false,
-//    "resilience":false,"rhs_seed":0,"budget":0,"kernels":"auto"}
+//    "resilience":false,"rhs_seed":0,"budget":0,"kernels":"auto",
+//    "precision":{"factor":"grid","working":"f64","residual":"auto"}}
 // Everything but schema/matrix/solver is optional; "op" defaults to "solve"
 // ("stats" and "shutdown" take only schema/op/id).  "budget" is a
 // deterministic deadline in work units (core/budget.hpp); an exhausted
@@ -55,7 +55,7 @@ class JsonValue {
   Kind kind = Kind::null;
   bool boolean = false;
   double number = 0.0;
-  std::string raw;       // number: the source token; string: the text
+  std::string raw;  // number or literal: the source token; string: the text
   std::vector<Member> members;   // object
   std::vector<JsonValue> items;  // array
 
@@ -98,8 +98,17 @@ struct Request {
 };
 
 /// Parse a pstab-serve-v1 request.  Strict: wrong schema, unknown keys,
-/// wrong value types and unknown enum strings all fail, naming the offender.
+/// wrong value types, out-of-range counts and unknown enum strings all fail,
+/// naming the key and the offending value.
 bool request_from_json(std::string_view text, Request& out, std::string& err);
+
+/// Parse the flags of `pstab cg|chol|ir|lu-ir|gmres-ir <matrix> [flags...]`
+/// (argv[first..argc)) with request_from_json's rule for each flag's wire key.
+/// `--json <path>` is CLI-only: it fills `json_path`, not the request.
+bool request_from_cli(core::Solver solver, const std::string& matrix,
+                      int argc, char** argv, int first,
+                      core::SolveRequest& out, std::string& json_path,
+                      std::string& err);
 
 /// Canonical serialization (every field, fixed order).  request_from_json is
 /// its exact inverse: parse(to_json(r)) == r for all representable r.

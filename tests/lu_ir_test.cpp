@@ -214,6 +214,9 @@ TEST(SolverRegistry, DefaultsDriveRequestAccessors) {
 
   req.solver = core::Solver::cg;
   EXPECT_EQ(req.effective_max_iter(10), 150);  // 15n
+  req.max_iter_per_n = 1000000000;  // the wire bound: clamps, never overflows
+  EXPECT_EQ(req.effective_max_iter(48), 2147483647);
+  req.max_iter_per_n = 0;
   EXPECT_EQ(req.effective_residual(), "f64");
 
   EXPECT_TRUE(core::solver_info(core::Solver::lu_ir).requires_spd == false);
@@ -250,31 +253,14 @@ TEST(PrecisionTriple, ValidationNamesTheOffendingMember) {
   EXPECT_NE(req.precision_error().find("grid"), std::string::npos);
   req.precision.factor = "grid";
   EXPECT_TRUE(req.precision_error().empty());
-}
 
-TEST(PrecisionTriple, DistinguishesBatchKeysButNotRhsSeeds) {
-  core::SolveRequest a;
-  a.solver = core::Solver::lu_ir;
-  a.matrix = "west0132";
-  core::SolveRequest b = a;
-  EXPECT_EQ(a.batch_key(), b.batch_key());
-
-  b.precision.factor = "f16";
-  EXPECT_NE(a.batch_key(), b.batch_key());
-  b = a;
-  b.precision.residual = "quire";
-  EXPECT_NE(a.batch_key(), b.batch_key());
-
-  // Same factorization, different right-hand side: batchable, not memoizable.
-  b = a;
-  b.rhs_seed = 7;
-  EXPECT_EQ(a.batch_key(), b.batch_key());
-  EXPECT_NE(a.canonical_key(), b.canonical_key());
-
-  // lu_ir and gmres_ir are distinct work even with equal knobs.
-  b = a;
-  b.solver = core::Solver::gmres_ir;
-  EXPECT_NE(a.batch_key(), b.batch_key());
+  // No LU path reads the resilience switch: refused, not echoed and ignored.
+  req.resilience = true;
+  EXPECT_TRUE(req.precision_error().empty());
+  for (const auto s : {core::Solver::lu_ir, core::Solver::gmres_ir}) {
+    req.solver = s;
+    EXPECT_NE(req.precision_error().find("resilience"), std::string::npos);
+  }
 }
 
 TEST(PrecisionTriple, EveryFactorFormatSelectsExactlyItsColumn) {

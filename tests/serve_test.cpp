@@ -5,6 +5,7 @@
 // replay, stream framing errors, and byte-determinism across PSTAB_THREADS.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -149,7 +150,6 @@ TEST(ServeRequest, GoldenWireBytes) {
             R"("matrix":"bcsstk02","rescale":false,"tol":0,"max_iter":0,)"
             R"("max_iter_per_n":0,"fused_dots":false,"history":false,)"
             R"("resilience":false,"rhs_seed":0,"budget":0,"kernels":"auto",)"
-            R"("block":0,)"
             R"("precision":{"factor":"grid","working":"f64",)"
             R"("residual":"auto"}})");
 }
@@ -171,7 +171,6 @@ TEST(ServeRequest, ParseIsExactInverseOfSerialize) {
   req.solve.rhs_seed = 42;
   req.solve.budget_ticks = 17;
   req.solve.backend = la::kernels::Backend::Batched;
-  req.solve.block = 96;
 
   const std::string wire = serve::request_to_json(req);
   serve::Request back;
@@ -200,13 +199,18 @@ TEST(ServeRequest, StatsAndShutdownTakeOnlyTheEnvelope) {
 TEST(ServeRequest, StrictParserNamesTheOffender) {
   serve::Request req;
   std::string err;
-  // Typos fail loudly instead of being silently dropped (the satellite
-  // contract shared with the CLI flag parser).
+  // Typos fail loudly instead of being silently dropped; the CLI's flags
+  // go through the same rules.
   EXPECT_FALSE(serve::request_from_json(
       R"({"schema":"pstab-serve-v1","op":"solve","solver":"cg",)"
       R"("matrix":"bcsstk02","frobulate":true})",
       req, err));
   EXPECT_NE(err.find("frobulate"), std::string::npos) << err;
+  // The panel-width knob selected nothing and is gone from the request.
+  EXPECT_FALSE(serve::request_from_json(
+      R"({"schema":"pstab-serve-v1","solver":"cg","matrix":"x","block":0})",
+      req, err));
+  EXPECT_EQ(err, "unknown key 'block'");
 
   EXPECT_FALSE(serve::request_from_json(
       R"({"schema":"pstab-wrong","op":"solve"})", req, err));
@@ -239,6 +243,73 @@ TEST(ServeRequest, StrictParserNamesTheOffender) {
   EXPECT_EQ(req.solve.solver, core::Solver::gmres_ir);
   EXPECT_EQ(req.solve.precision.factor, "bf16");
   EXPECT_EQ(req.solve.precision.residual, "dd");
+}
+
+TEST(ServeRequest, OutOfRangeValuesAreRejectedNamingKeyAndValue) {
+  // Each of these once parsed: narrowing to int turned the first into a
+  // per-n cap that overflowed to a negative iteration count, and the
+  // second into the default cap.
+  for (const char* member :
+       {R"("max_iter_per_n":2147483647)", R"("max_iter":4294967296)",
+        R"("budget":1000000001)", R"("tol":1e999)", R"("tol":-1)",
+        R"("rhs_seed":18446744073709551616)", R"("rescale":"yes")"}) {
+    const std::string m = member;
+    const std::string key = m.substr(1, m.find('"', 1) - 1);
+    const std::string value = m.substr(m.find(':') + 1);
+    serve::Request req;
+    std::string err;
+    EXPECT_FALSE(serve::request_from_json(
+        R"({"schema":"pstab-serve-v1","solver":"cg","matrix":"bcsstk01",)" +
+            m + "}",
+        req, err))
+        << m;
+    EXPECT_NE(err.find("key '" + key + "'"), std::string::npos) << err;
+    EXPECT_NE(err.find("got " + value), std::string::npos) << err;
+  }
+}
+
+// canonical_key() lists the fields by hand; a wire field missing from it
+// would let the serve memo answer one request with another's bytes.  Change
+// each field in turn: the canonical key moves every time, the batch key
+// for every field but the right-hand side.
+TEST(ServeRequest, CanonicalKeyCoversEveryWireField) {
+  using R = core::SolveRequest&;
+  const std::vector<std::pair<const char*, void (*)(R)>> changes = {
+      {"solver", [](R r) { r.solver = core::Solver::lu_ir; }},
+      {"matrix", [](R r) { r.matrix = "gre_216a"; }},
+      {"rescale", [](R r) { r.rescale = true; }},
+      {"tol", [](R r) { r.tol = 1e-9; }},
+      {"max_iter", [](R r) { r.max_iter = 5; }},
+      {"max_iter_per_n", [](R r) { r.max_iter_per_n = 2; }},
+      {"fused_dots", [](R r) { r.fused_dots = true; }},
+      {"history", [](R r) { r.record_history = true; }},
+      {"resilience", [](R r) { r.resilience = true; }},
+      {"rhs_seed", [](R r) { r.rhs_seed = 3; }},
+      {"budget", [](R r) { r.budget_ticks = 40; }},
+      {"kernels", [](R r) { r.backend = la::kernels::Backend::Simd; }},
+      {"factor", [](R r) { r.precision.factor = "bf16"; }},
+      {"working", [](R r) { r.precision.working = "f32"; }},
+      {"residual", [](R r) { r.precision.residual = "quire"; }},
+  };
+  serve::Request base;
+  base.solve.solver = core::Solver::gmres_ir;
+  base.solve.matrix = "west0132";
+  // The list above is every wire field but the schema/op/id envelope.
+  serve::JsonValue wire;
+  std::string err;
+  ASSERT_TRUE(serve::json_parse(serve::request_to_json(base), wire, err));
+  std::size_t fields = 0;
+  for (const auto& [key, v] : wire.members)
+    fields += key == "precision" ? v.members.size() : 1;
+  EXPECT_EQ(fields, changes.size() + 3);
+  const core::SolveRequest& a = base.solve;
+  for (const auto& [name, change] : changes) {
+    core::SolveRequest b = a;
+    change(b);
+    EXPECT_NE(b.canonical_key(), a.canonical_key()) << name;
+    EXPECT_EQ(b.batch_key() == a.batch_key(), std::string(name) == "rhs_seed")
+        << name;
+  }
 }
 
 TEST(ServeResponse, EnvelopeGoldens) {
@@ -508,41 +579,97 @@ TEST(ServeEngine, ResponsesAreByteIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// The unified CLI parser: every failure names the offending token
+// The CLI parser: the wire parser's rules behind a flag table
 
-std::vector<char*> argv_of(std::vector<std::string>& args) {
+struct CliResult {
+  bool ok = false;
+  serve::Request req;  // req.solve is the parsed request
+  std::string json_path, err;
+};
+
+CliResult parse_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), {"pstab", "lu-ir", "bcsstk02"});
   std::vector<char*> argv;
-  argv.reserve(args.size());
   for (auto& a : args) argv.push_back(a.data());
-  return argv;
+  CliResult r;
+  r.ok = serve::request_from_cli(core::Solver::lu_ir, "bcsstk02",
+                                 int(argv.size()), argv.data(), 3, r.req.solve,
+                                 r.json_path, r.err);
+  return r;
 }
 
 TEST(ServeCli, UnknownFlagNamesTheToken) {
-  std::vector<std::string> args = {"pstab", "cg", "bcsstk02", "--frobulate"};
-  std::vector<char*> argv = argv_of(args);
-  const core::CliParse p = core::parse_solver_cli(
-      core::Solver::cg, "bcsstk02", int(argv.size()), argv.data(), 3);
+  const CliResult p = parse_cli({"--frobulate"});
   EXPECT_FALSE(p.ok);
-  EXPECT_NE(p.error.find("--frobulate"), std::string::npos) << p.error;
+  EXPECT_NE(p.err.find("--frobulate"), std::string::npos) << p.err;
 }
 
 TEST(ServeCli, FlagMissingItsValueNamesTheFlag) {
-  std::vector<std::string> args = {"pstab", "cg", "bcsstk02", "--tol"};
-  std::vector<char*> argv = argv_of(args);
-  const core::CliParse p = core::parse_solver_cli(
-      core::Solver::cg, "bcsstk02", int(argv.size()), argv.data(), 3);
-  EXPECT_FALSE(p.ok);
-  EXPECT_NE(p.error.find("--tol"), std::string::npos) << p.error;
+  for (const char* flag : {"--tol", "--json", "--factor"}) {
+    const CliResult p = parse_cli({flag});
+    EXPECT_FALSE(p.ok);
+    EXPECT_NE(p.err.find(flag), std::string::npos) << p.err;
+  }
 }
 
 TEST(ServeCli, UnknownBackendNamesTheToken) {
-  std::vector<std::string> args = {"pstab", "cg", "bcsstk02", "--kernels",
-                                   "sse9"};
-  std::vector<char*> argv = argv_of(args);
-  const core::CliParse p = core::parse_solver_cli(
-      core::Solver::cg, "bcsstk02", int(argv.size()), argv.data(), 3);
+  const CliResult p = parse_cli({"--kernels", "sse9"});
   EXPECT_FALSE(p.ok);
-  EXPECT_NE(p.error.find("sse9"), std::string::npos) << p.error;
+  EXPECT_NE(p.err.find("sse9"), std::string::npos) << p.err;
+}
+
+TEST(ServeCli, BadValuesAreRejectedNamingKeyAndValue) {
+  // strtod/strtol once ran each of these silently: the first two with the
+  // defaults, the budget as 1 tick.
+  for (const auto& [flag, value, key] :
+       {std::array<std::string, 3>{"--max-iter", "abc", "max_iter"},
+        {"--tol", "banana", "tol"},
+        {"--budget", "4294967297", "budget"},
+        {"--rhs-seed", "-1", "rhs_seed"}}) {
+    const CliResult p = parse_cli({flag, value});
+    EXPECT_FALSE(p.ok) << flag;
+    EXPECT_NE(p.err.find("key '" + key + "'"), std::string::npos) << p.err;
+    EXPECT_NE(p.err.find(value), std::string::npos) << p.err;
+  }
+  EXPECT_EQ(parse_cli({"--block", "128"}).err, "unknown flag '--block'");
+}
+
+// Every flag and its wire key give the same request, byte for byte; --json
+// names the artifact and stays out of the request.
+TEST(ServeCli, EachFlagMatchesItsWireKey) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--rescale"}, R"("rescale":true)"},
+      {{"--higham"}, R"("rescale":true)"},
+      {{"--fused"}, R"("fused_dots":true)"},
+      {{"--history"}, R"("history":true)"},
+      {{"--resilience"}, R"("resilience":true)"},
+      {{"--tol", "1e-8"}, R"("tol":1e-8)"},
+      {{"--max-iter", "77"}, R"("max_iter":77)"},
+      {{"--max-iter-per-n", "3"}, R"("max_iter_per_n":3)"},
+      {{"--rhs-seed", "18446744073709551615"},
+       R"("rhs_seed":18446744073709551615)"},
+      {{"--budget", "1000000000"}, R"("budget":1000000000)"},
+      {{"--kernels", "batched"}, R"("kernels":"batched")"},
+      {{"--factor", "bf16"}, R"("precision":{"factor":"bf16"})"},
+      {{"--working", "f32"}, R"("precision":{"working":"f32"})"},
+      {{"--residual", "quire", "--factor", "f16", "--json", "out.json"},
+       R"("precision":{"residual":"quire","factor":"f16"})"},
+  };
+  const std::string no_flags = serve::request_to_json(parse_cli({}).req);
+  for (const auto& [flags, members] : cases) {
+    const CliResult p = parse_cli(flags);
+    ASSERT_TRUE(p.ok) << p.err;
+    serve::Request wire;
+    std::string err;
+    ASSERT_TRUE(serve::request_from_json(
+        R"({"schema":"pstab-serve-v1","solver":"lu_ir","matrix":"bcsstk02",)" +
+            members + "}",
+        wire, err))
+        << err;
+    EXPECT_EQ(serve::request_to_json(p.req), serve::request_to_json(wire));
+    EXPECT_NE(serve::request_to_json(p.req), no_flags) << flags[0];
+    EXPECT_EQ(p.json_path, flags.back() == "out.json" ? "out.json" : "");
+  }
 }
 
 }  // namespace

@@ -15,10 +15,10 @@
 //   pstab inject [--solver cg|cholesky|ir] [--seed S] [--trials N]
 //                [--recovery] [--json PATH]   bit-flip fault campaign
 //
-// The solver subcommands (cg/chol/ir) all parse through
-// core::parse_solver_cli into one core::SolveRequest — the same struct the
-// serve engine receives over the wire — and every parse failure names the
-// offending token and exits non-zero (no silently ignored typos).
+// The solver subcommands (cg/chol/ir/lu-ir/gmres-ir) all parse through
+// serve::request_from_cli into one core::SolveRequest: each flag maps to its
+// pstab-serve-v1 wire key and is checked by the wire parser's own per-key
+// rules, and every parse failure names the offender and exits non-zero.
 // `--json <path>` writes the run as a pstab-results-v1 artifact.
 // Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 #include <algorithm>
@@ -61,7 +61,7 @@ int usage() {
                "  lu-ir <matrix> [--rescale] | gmres-ir <matrix> [--rescale] |\n"
                "  serve --script FILE [--out FILE] | --stdio |\n"
                "        --port N [--once]   with [--threads N] [--cache-mb M]\n"
-               "        [--max-frame-kb K] [--no-coalesce] [--max-queue N]\n"
+               "        [--max-frame-kb K] [--max-queue N]\n"
                "        [--max-n N] [--max-matrix-mb M] [--max-budget T]\n"
                "        [--watchdog-ms MS]\n"
                "  serve-client --port N --script FILE [--out FILE]\n"
@@ -78,7 +78,7 @@ int usage() {
                "  cg|chol|ir|lu-ir|gmres-ir also accept: --json <path>\n"
                "    --tol <v> --max-iter <n> --max-iter-per-n <n> --fused\n"
                "    --history --resilience --rhs-seed <s>\n"
-               "    --kernels scalar|batched|simd|auto --block <w>\n"
+               "    --kernels scalar|batched|simd|auto --budget <ticks>\n"
                "    --factor grid|f16|bf16|p16_1|p16_2|f32|p32_2\n"
                "    --working f64 --residual auto|f64|dd|quire\n"
                "  kernels also accepts: --json <path>\n"
@@ -135,43 +135,17 @@ int cmd_gen_mtx(int argc, char** argv) {
   return 0;
 }
 
-// Shared front half of cg/chol/ir: matrix arg, unified flag parse, matrix
-// lookup.  Returns nonzero (the exit code) on failure.
-int solver_prologue(core::Solver solver, int argc, char** argv,
-                    core::CliParse& p) {
-  if (argc < 3)
-    return bad_usage(std::string("command '") + argv[1] +
-                     "' requires a matrix name");
-  p = core::parse_solver_cli(solver, argv[2], argc, argv, 3);
-  if (!p.ok) return bad_usage(p.error);
-  const auto spec = matrices::find_spec(p.req.matrix);
-  if (!spec)
-    return bad_usage("unknown matrix '" + p.req.matrix +
-                     "' (try 'pstab list')");
-  if (core::solver_info(solver).requires_spd && !spec->spd)
-    return bad_usage(std::string("solver '") + core::to_string(solver) +
-                     "' requires an SPD matrix ('" + p.req.matrix +
-                     "' is general; use lu-ir or gmres-ir)");
-  if (spec->sparse_only && solver != core::Solver::cg)
-    return bad_usage(std::string("solver '") + core::to_string(solver) +
-                     "' needs a dense image, but '" + p.req.matrix +
-                     "' is a sparse-only large-n matrix (use cg)");
-  return 0;
-}
-
-/// "k iters" / "1000+" / "-" formatting for a general-refinement cell.
-std::string lu_ir_cell_text(const la::LuIrReport& r) {
+/// "k iters" / "1000+" / "-" formatting for a refinement cell.
+std::string refine_cell_text(const la::RefineReport& r) {
   const bool failed = r.status == la::SolveStatus::factorization_failed ||
                       r.status == la::SolveStatus::diverged;
   return core::fmt_iters(failed, r.status == la::SolveStatus::max_iterations,
                          r.iterations);
 }
 
-int cmd_cg(int argc, char** argv) {
-  core::CliParse p;
-  if (const int rc = solver_prologue(core::Solver::cg, argc, argv, p)) return rc;
+auto cmd_cg(const core::SolveRequest& req) {
   const auto row =
-      core::run_cg_experiment(matrices::suite_matrix(p.req.matrix), p.req);
+      core::run_cg_experiment(matrices::suite_matrix(req.matrix), req);
   const auto cell = [](const core::CgCell& c) {
     if (c.converged()) return std::to_string(c.iterations) + " iters";
     if (c.status == la::SolveStatus::deadline_exceeded)
@@ -179,107 +153,69 @@ int cmd_cg(int argc, char** argv) {
     return std::string(c.status == la::SolveStatus::breakdown ? "diverged"
                                                               : "hit cap");
   };
-  std::printf("CG on %s%s\n", p.req.matrix.c_str(),
-              p.req.rescale ? " (rescaled)" : "");
+  std::printf("CG on %s%s\n", req.matrix.c_str(),
+              req.rescale ? " (rescaled)" : "");
   std::printf("  Float64     %s\n", cell(row.f64).c_str());
   std::printf("  Float32     %s\n", cell(row.f32).c_str());
   std::printf("  Posit(32,2) %s\n", cell(row.p32_2).c_str());
   std::printf("  Posit(32,3) %s\n", cell(row.p32_3).c_str());
-  if (!p.json_path.empty())
-    return emit_json(p.json_path,
-                     core::results_json(p.req.experiment_name(),
-                                        std::vector{row}, p.req));
-  return 0;
+  return row;
 }
 
-int cmd_chol(int argc, char** argv) {
-  core::CliParse p;
-  if (const int rc = solver_prologue(core::Solver::cholesky, argc, argv, p))
-    return rc;
+auto cmd_chol(const core::SolveRequest& req) {
   const auto row = core::run_cholesky_experiment(
-      matrices::suite_matrix(p.req.matrix), p.req);
+      matrices::suite_matrix(req.matrix), req);
   const auto cell = [](const core::CholCell& c) {
     return c.converged() ? core::fmt_sci(c.true_relres, 2)
                          : std::string("failed");
   };
-  std::printf("Cholesky backward error on %s%s\n", p.req.matrix.c_str(),
-              p.req.rescale ? " (diag-rescaled)" : "");
+  std::printf("Cholesky backward error on %s%s\n", req.matrix.c_str(),
+              req.rescale ? " (diag-rescaled)" : "");
   std::printf("  Float32     %s\n", cell(row.f32).c_str());
   std::printf("  Posit(32,2) %s (%+.2f digits vs F32)\n",
               cell(row.p32_2).c_str(), row.extra_digits(row.p32_2));
   std::printf("  Posit(32,3) %s (%+.2f digits vs F32)\n",
               cell(row.p32_3).c_str(), row.extra_digits(row.p32_3));
-  if (!p.json_path.empty())
-    return emit_json(p.json_path,
-                     core::results_json(p.req.experiment_name(),
-                                        std::vector{row}, p.req));
-  return 0;
+  return row;
 }
 
-int cmd_ir(int argc, char** argv) {
-  core::CliParse p;
-  if (const int rc = solver_prologue(core::Solver::ir, argc, argv, p)) return rc;
+auto cmd_ir(const core::SolveRequest& req) {
   const auto row =
-      core::run_ir_experiment(matrices::suite_matrix(p.req.matrix), p.req);
-  const auto cell = [](const la::IrReport& r) {
-    const bool failed = r.status == la::SolveStatus::factorization_failed ||
-                        r.status == la::SolveStatus::diverged;
-    return core::fmt_iters(failed,
-                           r.status == la::SolveStatus::max_iterations,
-                           r.iterations);
-  };
-  std::printf("mixed-precision IR on %s (%s)\n", p.req.matrix.c_str(),
-              p.req.rescale ? "Higham-scaled" : "naive");
-  std::printf("  Float16     %s\n", cell(row.f16).c_str());
-  std::printf("  Posit(16,1) %s\n", cell(row.p16_1).c_str());
-  std::printf("  Posit(16,2) %s\n", cell(row.p16_2).c_str());
-  if (!p.json_path.empty())
-    return emit_json(p.json_path,
-                     core::results_json(p.req.experiment_name(),
-                                        std::vector{row}, p.req));
-  return 0;
+      core::run_ir_experiment(matrices::suite_matrix(req.matrix), req);
+  std::printf("mixed-precision IR on %s (%s)\n", req.matrix.c_str(),
+              req.rescale ? "Higham-scaled" : "naive");
+  std::printf("  Float16     %s\n", refine_cell_text(row.f16).c_str());
+  std::printf("  Posit(16,1) %s\n", refine_cell_text(row.p16_1).c_str());
+  std::printf("  Posit(16,2) %s\n", refine_cell_text(row.p16_2).c_str());
+  return row;
 }
 
-int cmd_lu_ir(int argc, char** argv) {
-  core::CliParse p;
-  if (const int rc = solver_prologue(core::Solver::lu_ir, argc, argv, p))
-    return rc;
+auto cmd_lu_ir(const core::SolveRequest& req) {
   const auto row =
-      core::run_lu_ir_experiment(matrices::suite_matrix(p.req.matrix), p.req);
-  std::printf("LU-IR on %s (%s, residual %s)\n", p.req.matrix.c_str(),
-              p.req.rescale ? "equilibrated" : "naive",
-              p.req.effective_residual().c_str());
+      core::run_lu_ir_experiment(matrices::suite_matrix(req.matrix), req);
+  std::printf("LU-IR on %s (%s, residual %s)\n", req.matrix.c_str(),
+              req.rescale ? "equilibrated" : "naive",
+              req.effective_residual().c_str());
   for (const auto& c : row.cells)
     std::printf("  %-6s %s\n", c.format.c_str(),
-                lu_ir_cell_text(c.rep).c_str());
-  if (!p.json_path.empty())
-    return emit_json(p.json_path,
-                     core::results_json(p.req.experiment_name(),
-                                        std::vector{row}, p.req));
-  return 0;
+                refine_cell_text(c.rep).c_str());
+  return row;
 }
 
-int cmd_gmres_ir(int argc, char** argv) {
-  core::CliParse p;
-  if (const int rc = solver_prologue(core::Solver::gmres_ir, argc, argv, p))
-    return rc;
+auto cmd_gmres_ir(const core::SolveRequest& req) {
   const auto row = core::run_gmres_ir_experiment(
-      matrices::suite_matrix(p.req.matrix), p.req);
-  std::printf("GMRES-IR on %s (%s, residual %s)\n", p.req.matrix.c_str(),
-              p.req.rescale ? "equilibrated" : "naive",
-              p.req.effective_residual().c_str());
+      matrices::suite_matrix(req.matrix), req);
+  std::printf("GMRES-IR on %s (%s, residual %s)\n", req.matrix.c_str(),
+              req.rescale ? "equilibrated" : "naive",
+              req.effective_residual().c_str());
   for (const auto& c : row.cells)
     std::printf("  %-6s lu %-8s gmres %-8s%s\n", c.format.c_str(),
-                lu_ir_cell_text(c.lu).c_str(),
-                lu_ir_cell_text(c.gmres).c_str(),
+                refine_cell_text(c.lu).c_str(),
+                refine_cell_text(c.gmres).c_str(),
                 c.rescued() ? "  RESCUED" : "");
   std::printf("  rescued: %d of %zu formats\n", row.rescue_count(),
               row.cells.size());
-  if (!p.json_path.empty())
-    return emit_json(p.json_path,
-                     core::results_json(p.req.experiment_name(),
-                                        std::vector{row}, p.req));
-  return 0;
+  return row;
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -292,7 +228,6 @@ int cmd_serve(int argc, char** argv) {
     const bool has_value = i + 1 < argc;
     if (a == "--stdio") stdio = true;
     else if (a == "--once") once = true;
-    else if (a == "--no-coalesce") opt.coalesce = false;
     else if (a == "--script" && has_value) script_path = argv[++i];
     else if (a == "--out" && has_value) out_path = argv[++i];
     else if (a == "--port" && has_value)
@@ -652,6 +587,35 @@ int cmd_inject(int argc, char** argv) {
   return 0;
 }
 
+// A solver subcommand: the solver from the command name, the flags through
+// serve::request_from_cli, the same validation as run_request, then Run,
+// which prints the row it returns; `--json` writes that row as a
+// pstab-results-v1 artifact.  Returns the exit code.
+template <auto Run>
+int solver_command(int argc, char** argv) {
+  if (argc < 3)
+    return bad_usage(std::string("command '") + argv[1] +
+                     "' requires a matrix name");
+  core::Solver solver = core::Solver::cg;
+  (void)core::parse_solver(argv[1], solver);  // every row below parses
+  core::SolveRequest req;
+  std::string json_path, err;
+  if (!serve::request_from_cli(solver, argv[2], argc, argv, 3, req, json_path,
+                               err))
+    return bad_usage(err);
+  if (const std::string e = req.validation_error(); !e.empty())
+    return bad_usage(e);
+  // Artifacts embed telemetry counters, so recording must be on for the run.
+  if (!json_path.empty()) {
+    telemetry::set_enabled(true);
+    telemetry::reset();
+  }
+  const auto row = Run(req);
+  if (json_path.empty()) return 0;
+  return emit_json(json_path, core::results_json(req.experiment_name(),
+                                                 std::vector{row}, req));
+}
+
 // The dispatch table.  Every subcommand is a row here; an argv[1] that
 // matches no row is an error naming the token, never a silent fallthrough.
 struct Command {
@@ -662,13 +626,13 @@ struct Command {
 constexpr Command kCommands[] = {
     {"list", cmd_list},
     {"gen-mtx", cmd_gen_mtx},
-    {"cg", cmd_cg},
-    {"chol", cmd_chol},
-    {"ir", cmd_ir},
-    {"lu-ir", cmd_lu_ir},
-    {"lu_ir", cmd_lu_ir},
-    {"gmres-ir", cmd_gmres_ir},
-    {"gmres_ir", cmd_gmres_ir},
+    {"cg", solver_command<cmd_cg>},
+    {"chol", solver_command<cmd_chol>},
+    {"ir", solver_command<cmd_ir>},
+    {"lu-ir", solver_command<cmd_lu_ir>},
+    {"lu_ir", solver_command<cmd_lu_ir>},
+    {"gmres-ir", solver_command<cmd_gmres_ir>},
+    {"gmres_ir", solver_command<cmd_gmres_ir>},
     {"serve", cmd_serve},
     {"serve-client", cmd_serve_client},
     {"chaos", cmd_chaos},
