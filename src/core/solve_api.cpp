@@ -135,6 +135,11 @@ std::string SolveRequest::precision_error() const {
   if (solver == Solver::ir && precision.factor != "grid")
     return "solver 'ir' runs its fixed f16/p16_1/p16_2 grid (factor must be "
            "\"grid\")";
+  // The fixed grid computes every residual in f64 (ir_one_format never sets
+  // IrOptions::residual), so any other residual would select nothing.
+  if (solver == Solver::ir && effective_residual() != "f64")
+    return "solver 'ir' computes its residual in f64 (residual must be "
+           "\"auto\" or \"f64\", got '" + precision.residual + "')";
   // The general-systems runners call lu_ir / gmres_ir_lu directly: no LU
   // path reads IrOptions::resilience, so the switch would select nothing.
   if (resilience && (solver == Solver::lu_ir || solver == Solver::gmres_ir))

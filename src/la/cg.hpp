@@ -22,6 +22,7 @@
 #include "la/csr.hpp"
 #include "la/fault.hpp"
 #include "la/kernels/kernels.hpp"
+#include "la/kernels/plane.hpp"
 #include "la/solve_report.hpp"
 
 namespace pstab::la {
@@ -53,7 +54,7 @@ CgReport cg_solve(const Mat& A, const Vec<T>& b, Vec<T>& x,
   telemetry::Trace* tr = rep.trace.get();
 
   const kernels::Context& kc = opt.kernels;
-  const auto dotp = [&](const Vec<T>& u, const Vec<T>& v) {
+  const auto dotp = [&](const auto& u, const auto& v) {
     return opt.fused_dots ? kernels::dot_fused(kc, u, v) : kernels::dot(kc, u, v);
   };
 
@@ -72,19 +73,24 @@ CgReport cg_solve(const Mat& A, const Vec<T>& b, Vec<T>& x,
   }
 
   x.assign(n, st::zero());
-  Vec<T> r, p, ap;
+  // The working vectors are kernel planes (la/kernels/plane.hpp): f64 planes
+  // of exact values when the Simd leg runs, so the iteration rounds but never
+  // encodes; x is encoded once, when the solve ends.
+  kernels::Plane<T> bp, xp, r, p, ap;
   double normb = 0.0;
   T rr = st::zero();
   {
     telemetry::TraceSpan setup_span(tr, "setup");
-    r = b;             // r0 = b - A*0 = b
-    p = r;             // p0 = r0
-    ap.assign(n, st::zero());
     normb = kernels::nrm2_d(b);
     if (normb == 0) {
       rep.status = CgStatus::converged;
       return rep;
     }
+    bp = kernels::to_plane(kc, b);
+    xp = kernels::zeros_like(bp);
+    r = bp;   // r0 = b - A*0 = b
+    p = r;    // p0 = r0
+    ap = xp;
     rr = dotp(r, r);
   }
 
@@ -92,96 +98,106 @@ CgReport cg_solve(const Mat& A, const Vec<T>& b, Vec<T>& x,
   // Last iterate known to produce a finite, positive <r, r>; the restart
   // target.  Only maintained when recovery is on, so a disabled solve stays
   // allocation- and bit-identical to the plain algorithm.
-  Vec<T> x_ckpt;
-  if (res.enabled) x_ckpt = x;
+  kernels::Plane<T> x_ckpt;
+  if (res.enabled) x_ckpt = xp;
   int restarts_used = 0;
 
-  // r = b - A x in T (per-operation rounding), then p = r, rr = <r, r>.
-  // Returns false if the recomputed <r, r> is unusable.
+  // r = b - A x in T (per-operation rounding; b + (-1)(Ax) is the same
+  // rounding, the product being exact), then p = r, rr = <r, r>.  Returns
+  // false if the recomputed <r, r> is unusable.
   const auto recompute_residual = [&]() -> bool {
-    kernels::apply(kc, A, x, ap);
-    for (int i = 0; i < n; ++i) r[i] = b[i] - ap[i];
+    kernels::apply(kc, A, xp, ap);
+    kernels::xpby(kc, bp, -st::one(), ap, r);
     p = r;
     rr = dotp(r, r);
     return st::finite(rr) && st::to_double(rr) > 0.0;
   };
 
-  telemetry::TraceSpan iterate_span(tr, "iterate");
-  for (int it = 0; it < opt.max_iter; ++it) {
-    // One budget tick per iteration: the deadline trips at the same `it` on
-    // every run (work units, not wall time), so the partial report below is
-    // byte-deterministic.  History/recovery recorded so far stay in `rep`.
-    if (!core::budget_tick(opt.budget)) {
-      rep.status = CgStatus::deadline_exceeded;
-      rep.iterations = it;
-      return rep;
-    }
-    fault::on_iteration(opt.fault, it);
-    if (res.enabled && res.recompute_every > 0 && it > 0 &&
-        it % res.recompute_every == 0) {
-      telemetry::TraceSpan recover_span(tr, "recover");
-      if (recompute_residual()) x_ckpt = x;
-      rep.recovery.push_back(
-          {it, "recompute", std::sqrt(std::max(0.0, st::to_double(rr))) / normb});
-    }
-    const double relres = std::sqrt(std::max(0.0, st::to_double(rr))) / normb;
-    if (opt.record_history) rep.history.push_back(relres);
-    if (tr) tr->residual(relres);
-    rep.final_relres = relres;
-    if (relres <= opt.tol) {
-      rep.status = CgStatus::converged;
-      rep.iterations = it;
-      return rep;
-    }
-
-    // Breakdown of any Krylov scalar: either restart from the checkpoint
-    // (recovery on, budget left) or classify and stop.  `broke` burns the
-    // iteration either way, so the loop stays bounded by max_iter.
-    const auto broke = [&](int at) -> bool {
-      if (res.enabled && restarts_used < res.max_restarts) {
-        telemetry::TraceSpan recover_span(tr, "recover");
-        ++restarts_used;
-        x = x_ckpt;
-        const bool ok = recompute_residual();
-        rep.recovery.push_back(
-            {at, "restart",
-             std::sqrt(std::max(0.0, st::to_double(rr))) / normb});
-        if (ok) return true;  // resume from the checkpoint
+  const auto iterate = [&] {
+    telemetry::TraceSpan iterate_span(tr, "iterate");
+    for (int it = 0; it < opt.max_iter; ++it) {
+      // One budget tick per iteration: the deadline trips at the same `it`
+      // on every run (work units, not wall time), so the partial report
+      // below is byte-deterministic.  History/recovery recorded so far stay
+      // in `rep`.
+      if (!core::budget_tick(opt.budget)) {
+        rep.status = CgStatus::deadline_exceeded;
+        rep.iterations = it;
+        return;
       }
-      rep.status = CgStatus::breakdown;
-      rep.iterations = at;
-      return false;
-    };
+      fault::on_iteration(opt.fault, it);
+      if (res.enabled && res.recompute_every > 0 && it > 0 &&
+          it % res.recompute_every == 0) {
+        telemetry::TraceSpan recover_span(tr, "recover");
+        if (recompute_residual()) x_ckpt = xp;
+        rep.recovery.push_back(
+            {it, "recompute",
+             std::sqrt(std::max(0.0, st::to_double(rr))) / normb});
+      }
+      const double relres = std::sqrt(std::max(0.0, st::to_double(rr))) / normb;
+      if (opt.record_history) rep.history.push_back(relres);
+      if (tr) tr->residual(relres);
+      rep.final_relres = relres;
+      if (relres <= opt.tol) {
+        rep.status = CgStatus::converged;
+        rep.iterations = it;
+        return;
+      }
 
-    if (!st::finite(rr) || !(st::to_double(rr) > 0.0)) {
-      if (broke(it)) continue;
-      return rep;
-    }
+      // Breakdown of any Krylov scalar: either restart from the checkpoint
+      // (recovery on, budget left) or classify and stop.  `broke` burns the
+      // iteration either way, so the loop stays bounded by max_iter.
+      const auto broke = [&](int at) -> bool {
+        if (res.enabled && restarts_used < res.max_restarts) {
+          telemetry::TraceSpan recover_span(tr, "recover");
+          ++restarts_used;
+          xp = x_ckpt;
+          const bool ok = recompute_residual();
+          rep.recovery.push_back(
+              {at, "restart",
+               std::sqrt(std::max(0.0, st::to_double(rr))) / normb});
+          if (ok) return true;  // resume from the checkpoint
+        }
+        rep.status = CgStatus::breakdown;
+        rep.iterations = at;
+        return false;
+      };
 
-    kernels::apply(kc, A, p, ap);
-    T pap = dotp(p, ap);
-    fault::touch_scalar(opt.fault, fault::Site::dot_result, pap);
-    if (!st::finite(pap) || !(st::to_double(pap) > 0.0)) {
-      if (broke(it)) continue;
-      return rep;
+      if (!st::finite(rr) || !(st::to_double(rr) > 0.0)) {
+        if (broke(it)) continue;
+        return;
+      }
+
+      kernels::apply(kc, A, p, ap);
+      T pap = dotp(p, ap);
+      fault::touch_scalar(opt.fault, fault::Site::dot_result, pap);
+      if (!st::finite(pap) || !(st::to_double(pap) > 0.0)) {
+        if (broke(it)) continue;
+        return;
+      }
+      const T alpha = rr / pap;
+      kernels::axpy(kc, alpha, p, xp);  // x += alpha p
+      kernels::axpy(kc, -alpha, ap, r);  // r -= alpha A p  (recurrence residual)
+      if (opt.fault)  // the observer sees the residual's patterns
+        kernels::with_patterns(r, [&](Vec<T>& v) {
+          fault::touch_range(opt.fault, fault::Site::vector_entry, v.data(),
+                             v.size());
+        });
+      T rr_new = dotp(r, r);
+      fault::touch_scalar(opt.fault, fault::Site::dot_result, rr_new);
+      if (!st::finite(rr_new)) {
+        if (broke(it)) continue;
+        return;
+      }
+      const T beta = rr_new / rr;
+      kernels::xpby(kc, r, beta, p, p);  // p = r + beta p
+      rr = rr_new;
     }
-    const T alpha = rr / pap;
-    kernels::axpy(kc, alpha, p, x);    // x += alpha p
-    kernels::axpy(kc, -alpha, ap, r);  // r -= alpha A p  (recurrence residual)
-    fault::touch_range(opt.fault, fault::Site::vector_entry, r.data(),
-                       r.size());
-    T rr_new = dotp(r, r);
-    fault::touch_scalar(opt.fault, fault::Site::dot_result, rr_new);
-    if (!st::finite(rr_new)) {
-      if (broke(it)) continue;
-      return rep;
-    }
-    const T beta = rr_new / rr;
-    kernels::xpby(kc, r, beta, p, p);  // p = r + beta p
-    rr = rr_new;
-  }
-  rep.status = CgStatus::max_iterations;
-  rep.iterations = opt.max_iter;
+    rep.status = CgStatus::max_iterations;
+    rep.iterations = opt.max_iter;
+  };
+  iterate();
+  kernels::from_plane(xp, x);
   return rep;
 }
 

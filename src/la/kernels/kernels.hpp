@@ -104,8 +104,9 @@ struct Context {
   /// (blocked above a size threshold with a picked width — see
   /// la/blocked.hpp), >= 1 forces that width (1 degenerates to rank-1
   /// panels).  Blocked and unblocked factors are bit-identical for every
-  /// format, so this is purely a performance knob; it still participates in
-  /// SolveRequest::batch_key so cached artifacts stay honestly keyed.
+  /// format, so this is purely a performance knob.  No solve request sets
+  /// it (the serve and CLI paths always run the auto width); the blocked
+  /// tests and the perf_blocked bench do.
   int block = 0;
 };
 
@@ -489,6 +490,34 @@ template <class T>
   return Backend::Scalar;
 }
 
+namespace detail {
+
+/// Runs run(lo, hi) over `rows` CSR rows: in fixed kSparseRowTile tiles
+/// through pstab::parallel_tiles from kParMinSparseRows up, inline below.
+template <class Run>
+void sparse_tiles(int rows, Run&& run) {
+  if (rows >= kParMinSparseRows)
+    pstab::parallel_tiles(static_cast<std::size_t>(rows),
+                          static_cast<std::size_t>(kSparseRowTile), run);
+  else
+    run(0, static_cast<std::size_t>(rows));
+}
+
+/// y = A * x on f64 planes through one ISA's plane SpMV, tiled like
+/// Csr::spmv; then(lo, hi) runs inside each tile after its rows are done.
+template <class T, class Then>
+void spmv_plane(const simd::Kernels<T>& k, const Csr<T>& A, const double* x,
+                double* y, Then&& then) {
+  sparse_tiles(A.rows(), [&](std::size_t lo, std::size_t hi) {
+    k.plane.spmv_range(A.values().data(), A.col_idx().data(),
+                       A.row_ptr().data(), x, y, static_cast<int>(lo),
+                       static_cast<int>(hi));
+    then(lo, hi);
+  });
+}
+
+}  // namespace detail
+
 /// y = A * x for CSR A: the x plane is decoded once and shared across the
 /// row tiles; the vector and decoded-plane legs tile rows exactly like
 /// Csr::spmv, so every leg and any PSTAB_THREADS count give the same bytes.
@@ -501,33 +530,25 @@ void spmv(const Context& c, const Csr<T>& A, const Vec<T>& x, Vec<T>& y) {
   }
   const int rows = A.rows();
   y.assign(static_cast<std::size_t>(rows), scalar_traits<T>::zero());
-  const auto tiles = [rows](auto&& run) {
-    if (rows >= kParMinSparseRows)
-      pstab::parallel_tiles(static_cast<std::size_t>(rows),
-                            static_cast<std::size_t>(kSparseRowTile), run);
-    else
-      run(0, static_cast<std::size_t>(rows));
-  };
-  const T* val = A.values().data();
-  const int* col = A.col_idx().data();
-  const int* ptr = A.row_ptr().data();
   if constexpr (simd::ops<T>::supported) {
     if (leg == Backend::Simd) {
       const auto& tbl = simd::ops<T>::table(*simd::active_tables());
-      std::vector<double> xd(x.size());
+      std::vector<double> xd(x.size()), yd(static_cast<std::size_t>(rows));
       tbl.decode_f64(x.data(), x.size(), xd.data());
-      tiles([&](std::size_t lo, std::size_t hi) {
-        tbl.spmv_range(val, col, ptr, xd.data(), x.data(), y.data(),
-                       static_cast<int>(lo), static_cast<int>(hi));
-      });
+      detail::spmv_plane(tbl, A, xd.data(), yd.data(),
+                         [&](std::size_t lo, std::size_t hi) {
+                           tbl.encode_f64(yd.data() + lo, hi - lo,
+                                          y.data() + lo);
+                         });
       return;
     }
   }
   if constexpr (batched::ops<T>::supported) {
     typename batched::ops<T>::XPlane px;
     batched::ops<T>::decode_x(x.data(), x.size(), px);
-    tiles([&](std::size_t lo, std::size_t hi) {
-      batched::ops<T>::spmv_range(val, col, ptr, px, y.data(),
+    detail::sparse_tiles(rows, [&](std::size_t lo, std::size_t hi) {
+      batched::ops<T>::spmv_range(A.values().data(), A.col_idx().data(),
+                                  A.row_ptr().data(), px, y.data(),
                                   static_cast<int>(lo), static_cast<int>(hi));
     });
   }

@@ -358,6 +358,31 @@ struct VOps {
     return c_round(s, ae + be);
   }
 
+  // Scalar replays on plane values (tails and fixup lanes): the *_slot
+  // integer core on the patterns of the exact values.
+  static double mul1(double a, double b) noexcept {
+    return fd::mul_round_slot(fd::plane_pattern<P>(a), fd::plane_pattern<P>(b));
+  }
+  static double axpy1(const U& ua, double x, double y) noexcept {
+    return fd::plane_value(fd::axpy_slot(ua, fd::plane_pattern<P>(x),
+                                         fd::plane_pattern<P>(y)));
+  }
+  static double xpby1(P beta, double x, double y) noexcept {
+    return fd::plane_value(fd::xpby_slot(beta, fd::plane_pattern<P>(x),
+                                         fd::plane_pattern<P>(y)));
+  }
+
+  /// Rounded products of exact lanes (0.0 for zero terms, NaN for NaR);
+  /// lanes flagged for fixup replay the integer core.
+  PSTAB_HOT_INLINE static f64v mul_fix(f64v a, f64v b) noexcept {
+    VR mr = vmul_round(a, b);
+    if (any(mr.fix)) [[unlikely]] {
+      for (int l = 0; l < kLanes; ++l)
+        if (mr.fix[l]) mr.r[l] = mul1(a[l], b[l]);
+    }
+    return mr.r;
+  }
+
   // -- chained kernels ------------------------------------------------------
 
   static constexpr std::size_t kBlock = 128;
@@ -367,18 +392,9 @@ struct VOps {
   static void block_products(const ST* ap, const ST* bp, std::size_t m,
                              double* md) noexcept {
     std::size_t j = 0;
-    for (; j + kLanes <= m; j += kLanes) {
-      const VR mr = vmul_round(vdecode(load_pats(ap + j)),
-                               vdecode(load_pats(bp + j)));
-      f64v t = mr.r;
-      if (any(mr.fix)) [[unlikely]] {
-        for (int l = 0; l < kLanes; ++l)
-          if (mr.fix[l])
-            t[l] = fd::mul_round_slot(P::from_bits(ap[j + l]),
-                                      P::from_bits(bp[j + l]));
-      }
-      store_f(md + j, t);
-    }
+    for (; j + kLanes <= m; j += kLanes)
+      store_f(md + j, mul_fix(vdecode(load_pats(ap + j)),
+                              vdecode(load_pats(bp + j))));
     for (; j < m; ++j)
       md[j] = fd::mul_round_slot(P::from_bits(ap[j]), P::from_bits(bp[j]));
   }
@@ -444,13 +460,8 @@ struct VOps {
       const std::size_t ng = n / G;
       run_chain(c, ng, [&](std::size_t g) {
         const std::size_t i = g * G;
-        const VR mr =
-            vmul_round(vdecode(load_pats(ap + i)), vdecode(load_pats(bp + i)));
-        f64v t = mr.r;
-        if (any(mr.fix)) [[unlikely]] {
-          for (int l = 0; l < kLanes; ++l)
-            if (mr.fix[l]) t[l] = fd::mul_round_slot(a[i + l], b[i + l]);
-        }
+        const f64v t =
+            mul_fix(vdecode(load_pats(ap + i)), vdecode(load_pats(bp + i)));
         return as_f(as_u(t) ^ as_u(sflip));
       });
       for (std::size_t i = ng * G; i < n && !c.nar; ++i) {
@@ -482,6 +493,19 @@ struct VOps {
     return update_chain(P::zero(), x, 1, y, 1, n, false);
   }
 
+  /// dot on planes: update_chain's contiguous chain without the decode.
+  static P plane_dot(const double* x, const double* y, std::size_t n) {
+    FpChain<N, ES> c;
+    c.set_zero_state();
+    constexpr std::size_t G = std::size_t(kLanes);
+    const std::size_t ng = n / G;
+    run_chain(c, ng, [&](std::size_t g) {
+      return mul_fix(load_f(x + g * G), load_f(y + g * G));
+    });
+    for (std::size_t i = ng * G; i < n && !c.nar; ++i) c.step(mul1(x[i], y[i]));
+    return c.value();
+  }
+
   static void gemv(const P* a, int rows, int cols, const P* x, P* y) {
     const std::size_t nc = std::size_t(cols);
     std::vector<double> xd(nc);
@@ -495,17 +519,9 @@ struct VOps {
       while (i < nc && !c.nar) {
         const std::size_t m = std::min(kBlock, nc - i);
         std::size_t j = 0;
-        for (; j + kLanes <= m; j += kLanes) {
-          const VR mr = vmul_round(
-              vdecode(load_p(row + i + j)), load_f(xd.data() + i + j));
-          f64v t = mr.r;
-          if (any(mr.fix)) [[unlikely]] {
-            for (int l = 0; l < kLanes; ++l)
-              if (mr.fix[l])
-                t[l] = fd::mul_round_slot(row[i + j + l], x[i + j + l]);
-          }
-          store_f(md + j, t);
-        }
+        for (; j + kLanes <= m; j += kLanes)
+          store_f(md + j, mul_fix(vdecode(load_p(row + i + j)),
+                                  load_f(xd.data() + i + j)));
         for (; j < m; ++j) md[j] = fd::mul_round_slot(row[i + j], x[i + j]);
         for (j = 0; j < m; ++j) c.step(md[j]);
         i += m;
@@ -515,35 +531,31 @@ struct VOps {
   }
 
   /// Rounded products val[k] * x[col[k]] for k in [k0, k0 + m) as exact
-  /// doubles, x gathered from its decoded plane xd by column index.
-  static void sp_products(const P* val, const int* col, const double* xd,
-                          const P* x, std::size_t k0, std::size_t m,
-                          double* md) noexcept {
+  /// doubles, x gathered from its plane by column index.
+  static void sp_products(const P* val, const int* col, const double* x,
+                          std::size_t k0, std::size_t m, double* md) noexcept {
     std::size_t j = 0;
     for (; j + kLanes <= m; j += kLanes) {
       const std::size_t k = k0 + j;
       const u64v ci =
           load_pats(reinterpret_cast<const std::uint32_t*>(col + k));
-      const VR mr = vmul_round(vdecode(load_p(val + k)), gather_f(xd, ci));
-      f64v t = mr.r;
-      if (any(mr.fix)) [[unlikely]] {
-        for (int l = 0; l < kLanes; ++l)
-          if (mr.fix[l]) t[l] = fd::mul_round_slot(val[k + l], x[col[k + l]]);
-      }
-      store_f(md + j, t);
+      store_f(md + j, mul_fix(vdecode(load_p(val + k)), gather_f(x, ci)));
     }
-    for (; j < m; ++j) md[j] = fd::mul_round_slot(val[k0 + j], x[col[k0 + j]]);
+    for (; j < m; ++j)
+      md[j] = fd::mul_round_slot(val[k0 + j],
+                                 fd::plane_pattern<P>(x[col[k0 + j]]));
   }
 
-  /// CSR rows [r0, r1).  Rows are taken in runs whose nonzeros share one
-  /// product block.  A run of many short rows forms its products
-  /// lane-parallel over the flat nonzero range, then each lane carries one
-  /// row's sum through per-step posit adds (sp_rows).  A run of a few long
-  /// rows (or one row longer than the block) would leave most lanes idle,
-  /// so each of its rows runs a serial FpChain instead, like a gemv row.
+  /// CSR rows [r0, r1) of y = A * x on planes.  Rows are taken in runs
+  /// whose nonzeros share one product block.  A run of many short rows
+  /// forms its products lane-parallel over the flat nonzero range, then
+  /// each lane carries one row's sum through per-step posit adds (sp_rows).
+  /// A run of a few long rows (or one row longer than the block) would
+  /// leave most lanes idle, so each of its rows runs a serial FpChain
+  /// instead, like a gemv row.
   static constexpr std::size_t kSpBlock = 16 * kBlock;
   static void spmv_range(const P* val, const int* col, const int* ptr,
-                         const double* xd, const P* x, P* y, int r0, int r1) {
+                         const double* x, double* y, int r0, int r1) {
     double md[kSpBlock];
     for (int r = r0; r < r1;) {
       const std::size_t k0 = std::size_t(ptr[r]);
@@ -551,10 +563,10 @@ struct VOps {
       while (re < r1 && std::size_t(ptr[re + 1]) - k0 <= kSpBlock) ++re;
       if (re - r < kLanes) {
         for (int i = r; i < re; ++i)
-          y[i] = sp_chain(val, col, xd, x, std::size_t(ptr[i]),
+          y[i] = sp_chain(val, col, x, std::size_t(ptr[i]),
                           std::size_t(ptr[i + 1]), md);
       } else {
-        sp_products(val, col, xd, x, k0, std::size_t(ptr[re]) - k0, md);
+        sp_products(val, col, x, k0, std::size_t(ptr[re]) - k0, md);
         for (int g = r; g < re; g += kLanes) sp_rows(ptr, k0, md, y, g, re);
       }
       r = re;
@@ -563,23 +575,22 @@ struct VOps {
 
   /// One row, nonzeros [k0, k1), as a serial FpChain over block-sized runs
   /// of products (md is the scratch block).
-  static P sp_chain(const P* val, const int* col, const double* xd,
-                    const P* x, std::size_t k0, std::size_t k1,
-                    double* md) noexcept {
+  static double sp_chain(const P* val, const int* col, const double* x,
+                         std::size_t k0, std::size_t k1, double* md) noexcept {
     FpChain<N, ES> c;
     c.set_zero_state();
     for (std::size_t k = k0; k < k1 && !c.nar; k += kSpBlock) {
       const std::size_t m = std::min(kSpBlock, k1 - k);
-      sp_products(val, col, xd, x, k, m, md);
+      sp_products(val, col, x, k, m, md);
       for (std::size_t j = 0; j < m; ++j) c.step(md[j]);
     }
-    return c.value();
+    return c.value_f64();
   }
 
   /// Rows [g, min(g + kLanes, re)), one per lane, from their products in md
   /// (row i's slice starts at md[ptr[i] - k0]).
-  static void sp_rows(const int* ptr, std::size_t k0, const double* md, P* y,
-                      int g, int re) noexcept {
+  static void sp_rows(const int* ptr, std::size_t k0, const double* md,
+                      double* y, int g, int re) noexcept {
     const int nl = std::min(kLanes, re - g);
     i64v start{}, len{};  // lanes past re stay empty rows
     i64 steps = 0;
@@ -598,40 +609,33 @@ struct VOps {
         // Taper/saturated sums: the scalar posit add on the exact values.
         for (int l = 0; l < kLanes; ++l)
           if (s.fix[l] & act[l])
-            s.r[l] =
-                (P::from_double(acc[l]) + P::from_double(m[l])).to_double();
+            s.r[l] = fd::plane_value(fd::plane_pattern<P>(acc[l]) +
+                                     fd::plane_pattern<P>(m[l]));
       }
       acc = blend_f(act, s.r, acc);
     }
-    ST out[kLanes];
-    store_pats(out, vencode(acc));
-    std::memcpy(y + g, out, std::size_t(nl) * sizeof(ST));
+    double out[kLanes];
+    store_f(out, acc);
+    std::memcpy(y + g, out, std::size_t(nl) * sizeof(double));
   }
 
   // -- elementwise kernels --------------------------------------------------
+  //
+  // axpy and xpby have one vector body each, on planes; their pattern entry
+  // points run it through on_blocks.
 
   static void decode_f64(const P* x, std::size_t n, double* out) {
     std::size_t i = 0;
     for (; i + kLanes <= n; i += kLanes)
       store_f(out + i, vdecode(load_p(x + i)));
-    for (; i < n; ++i) {
-      const P p = x[i];
-      out[i] = p.is_nar()    ? kNan
-               : p.is_zero() ? 0.0
-                             : fd::unp_to_f64(bops::decode1(p));
-    }
+    for (; i < n; ++i) out[i] = fd::plane_value(x[i]);
   }
 
   static void encode_f64(const double* x, std::size_t n, P* out) {
     std::size_t i = 0;
     for (; i + kLanes <= n; i += kLanes)
       store_p(out + i, vencode(load_f(x + i)));
-    for (; i < n; ++i) {
-      const double d = x[i];
-      out[i] = std::isnan(d)  ? P::nar()
-               : d == 0.0     ? P::zero()
-                              : bops::enc(fd::f64_to_unp(d));
-    }
+    for (; i < n; ++i) out[i] = fd::plane_pattern<P>(x[i]);
   }
 
   static void mul_round(const P* x, const P* y, P* z, std::size_t n) {
@@ -650,34 +654,54 @@ struct VOps {
     for (; i < n; ++i) z[i] = fd::mul_slot(x[i], y[i]);
   }
 
-  static void axpy(P alpha, const P* x, P* y, std::size_t n) {
+  static void plane_axpy(P alpha, const double* x, double* y, std::size_t n) {
     // The special-alpha ladders mirror batched::axpy exactly.
     if (alpha.is_nar()) {
-      for (std::size_t i = 0; i < n; ++i) y[i] = P::nar();
+      std::fill(y, y + n, kNan);
       return;
     }
     if (alpha.is_zero()) {
       for (std::size_t i = 0; i < n; ++i)
-        if (x[i].is_nar()) y[i] = P::nar();
+        if (std::isnan(x[i])) y[i] = kNan;
       return;
     }
     const U ua = bops::decode1(alpha);
     const f64v av = splat_f(fd::unp_to_f64(ua));
     std::size_t i = 0;
     for (; i + kLanes <= n; i += kLanes) {
-      const u64v xp = load_p(x + i), yp = load_p(y + i);
-      const VR t = vmul_round(av, vdecode(xp));
-      const VR r = vadd_round(vdecode(yp), t.r);
-      store_p(y + i, vencode(r.r));
+      const f64v xv = load_f(x + i), yv = load_f(y + i);
+      const VR t = vmul_round(av, xv);
+      VR r = vadd_round(yv, t.r);
       const u64v fix = t.fix | r.fix;
       if (any(fix)) [[unlikely]] {
         for (int l = 0; l < kLanes; ++l)
-          if (fix[l])
-            y[i + l] = fd::axpy_slot(ua, P::from_bits(u64(xp[l])),
-                                     P::from_bits(u64(yp[l])));
+          if (fix[l]) r.r[l] = axpy1(ua, xv[l], yv[l]);
       }
+      store_f(y + i, r.r);
     }
-    for (; i < n; ++i) y[i] = fd::axpy_slot(ua, x[i], y[i]);
+    for (; i < n; ++i) y[i] = axpy1(ua, x[i], y[i]);
+  }
+
+  /// Pattern entry point of an elementwise op: per kBlock, decode x and y
+  /// onto the stack, run op(xd, yd, m) (which leaves its result in yd) and
+  /// encode yd into out.  out may alias x or y.
+  template <class Op>
+  static void on_blocks(const P* x, const P* y, P* out, std::size_t n,
+                        Op&& op) {
+    double xd[kBlock], yd[kBlock];
+    for (std::size_t i = 0; i < n; i += kBlock) {
+      const std::size_t m = std::min(kBlock, n - i);
+      decode_f64(x + i, m, xd);
+      decode_f64(y + i, m, yd);
+      op(xd, yd, m);
+      encode_f64(yd, m, out + i);
+    }
+  }
+
+  static void axpy(P alpha, const P* x, P* y, std::size_t n) {
+    on_blocks(x, y, y, n, [alpha](double* xd, double* yd, std::size_t m) {
+      plane_axpy(alpha, xd, yd, m);
+    });
   }
 
   static void scal(P alpha, P* x, std::size_t n) {
@@ -705,38 +729,48 @@ struct VOps {
     for (; i < n; ++i) x[i] = fd::scal_slot(ua, x[i]);
   }
 
-  static void xpby(const P* x, P beta, const P* y, P* z, std::size_t n) {
+  static void plane_xpby(const double* x, P beta, const double* y, double* z,
+                         std::size_t n) {
     // NaN/zero beta flow through the lanes with batched's ladder semantics:
     // NaR beta poisons every slot, zero beta leaves z = x (0 * NaR is still
     // NaR via the NaN product).
-    const f64v bv = splat_f(beta.is_nar()    ? kNan
-                            : beta.is_zero() ? 0.0
-                                             : fd::unp_to_f64(bops::decode1(beta)));
+    const f64v bv = splat_f(fd::plane_value(beta));
     std::size_t i = 0;
     for (; i + kLanes <= n; i += kLanes) {
-      const u64v xp = load_p(x + i), yp = load_p(y + i);
-      const VR t = vmul_round(bv, vdecode(yp));
-      const VR r = vadd_round(vdecode(xp), t.r);
-      store_p(z + i, vencode(r.r));
+      const f64v xv = load_f(x + i), yv = load_f(y + i);
+      const VR t = vmul_round(bv, yv);
+      VR r = vadd_round(xv, t.r);
       const u64v fix = t.fix | r.fix;
       if (any(fix)) [[unlikely]] {
         for (int l = 0; l < kLanes; ++l)
-          if (fix[l])
-            z[i + l] = fd::xpby_slot(beta, P::from_bits(u64(xp[l])),
-                                     P::from_bits(u64(yp[l])));
+          if (fix[l]) r.r[l] = xpby1(beta, xv[l], yv[l]);
       }
+      store_f(z + i, r.r);
     }
-    for (; i < n; ++i) z[i] = fd::xpby_slot(beta, x[i], y[i]);
+    for (; i < n; ++i) z[i] = xpby1(beta, x[i], y[i]);
+  }
+
+  static void xpby(const P* x, P beta, const P* y, P* z, std::size_t n) {
+    on_blocks(x, y, z, n, [beta](double* xd, double* yd, std::size_t m) {
+      plane_xpby(xd, beta, yd, yd, m);
+    });
   }
 };
 
 template <class P>
 Kernels<P> make_kernels() noexcept {
   using V = VOps<P>;
-  return Kernels<P>{&V::dot,        &V::update_chain, &V::axpy,
-                    &V::scal,       &V::xpby,         &V::gemv,
-                    &V::spmv_range, &V::decode_f64,   &V::encode_f64,
-                    &V::mul_round};
+  return Kernels<P>{&V::dot,
+                    &V::update_chain,
+                    &V::axpy,
+                    &V::scal,
+                    &V::xpby,
+                    &V::gemv,
+                    &V::decode_f64,
+                    &V::encode_f64,
+                    &V::mul_round,
+                    {&V::plane_dot, &V::plane_axpy, &V::plane_xpby,
+                     &V::spmv_range}};
 }
 
 }  // namespace

@@ -63,6 +63,22 @@ PSTAB_HOT_INLINE U f64_to_unp(double d) noexcept {
   return u;
 }
 
+/// Pattern -> its plane value: the exact double, +0.0 for zero, qNaN for NaR.
+template <class P>
+PSTAB_HOT_INLINE double plane_value(P p) noexcept {
+  if (p.is_nar()) return std::numeric_limits<double>::quiet_NaN();
+  if (p.is_zero()) return 0.0;
+  return unp_to_f64(batched::ops<P>::decode1(p));
+}
+
+/// Plane value (an exact format value, zero or NaN) -> its pattern.
+template <class P>
+PSTAB_HOT_INLINE P plane_pattern(double d) noexcept {
+  if (std::isnan(d)) return P::nar();
+  if (d == 0.0) return P::zero();
+  return batched::ops<P>::enc(f64_to_unp(d));
+}
+
 /// Posit fraction bits available in the binade with scale `es`; < 1 means the
 /// C-trick does not apply there (taper or saturation region).
 template <int N, int ES>

@@ -44,6 +44,22 @@ enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
 /// Parses a PSTAB_SIMD value; returns false on an unknown name.
 [[nodiscard]] bool parse_isa(const char* s, Isa& out) noexcept;
 
+/// Entry points on f64 planes: arrays of exact posit values (+0.0 for zero,
+/// qNaN for NaR, never -0.0), as decode_f64 writes them.  They round but
+/// never encode, and every plane they write keeps that invariant, so a
+/// solver can hold its vectors decoded for a whole solve.
+template <class P>
+struct PlaneKernels {
+  P (*dot)(const double*, const double*, std::size_t);
+  /// y += alpha * x
+  void (*axpy)(P, const double*, double*, std::size_t);
+  /// z = x + beta * y (z may alias x or y)
+  void (*xpby)(const double*, P, const double*, double*, std::size_t);
+  /// CSR rows [r0, r1) of y = A * x (x and y planes, A patterns).
+  void (*spmv_range)(const P* val, const int* col, const int* ptr,
+                     const double* x, double* y, int r0, int r1);
+};
+
 /// One format's kernel entry points for one ISA.  The elementwise hooks
 /// (decode/encode/mul_round) exist for the exhaustive/fuzz test tiers, which
 /// pin every lane of every ISA against the scalar core.
@@ -56,13 +72,10 @@ struct Kernels {
   void (*scal)(P, P*, std::size_t);
   void (*xpby)(const P*, P, const P*, P*, std::size_t);
   void (*gemv)(const P*, int, int, const P*, P*);
-  /// CSR rows [r0, r1) of y = A * x; xd is x decoded by decode_f64 (shared
-  /// by every row tile), x the same vector's patterns for the fixup lanes.
-  void (*spmv_range)(const P* val, const int* col, const int* ptr,
-                     const double* xd, const P* x, P* y, int r0, int r1);
   void (*decode_f64)(const P*, std::size_t, double*);
   void (*encode_f64)(const double*, std::size_t, P*);
   void (*mul_round)(const P*, const P*, P*, std::size_t);
+  PlaneKernels<P> plane;
 };
 
 struct IsaTables {

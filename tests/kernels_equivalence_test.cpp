@@ -674,6 +674,78 @@ TEST(KernelsSolvers, CgSimdBackendInvariantPerIsa) {
   }
 }
 
+/// Poisons the residual's first entry with NaR once, at iteration `at`.
+struct NarOnce final : la::fault::Observer {
+  explicit NarOnce(int at_) : at(at_) {}
+  void iteration(int i) noexcept override { it = i; }
+  void touch(la::fault::Site s, void* data, std::size_t elem_bytes,
+             std::size_t count) noexcept override {
+    if (done || it != at || s != la::fault::Site::vector_entry || count == 0)
+      return;
+    const Posit32_2 nar = Posit32_2::nar();
+    if (elem_bytes == sizeof nar) std::memcpy(data, &nar, sizeof nar);
+    done = true;
+  }
+  int at, it = -1;
+  bool done = false;
+};
+
+TEST(KernelsSolvers, CgPlaneBoundariesPerIsa) {
+  // The plane CG's boundaries keep the scalar solve's bits on every ISA:
+  // quire dots read encoded planes, the recompute/restart path runs
+  // r = b + (-1) A x, a fault hook and a dense operator see patterns.
+  using P = Posit32_2;
+  const auto& m = matrices::suite_matrix("bcsstk02");
+  const auto A = m.csr.template cast<P>();
+  const auto Ad = m.dense.template cast_clamped<P>();
+  const la::Vec<P> b(static_cast<std::size_t>(A.rows()), P(1.0));
+  struct Run {
+    la::CgReport rep;
+    la::Vec<P> x;
+  };
+  enum Variant { kFused, kRecover, kDense };
+  const auto run = [&](const ker::Context& kc, Variant v) {
+    la::CgOptions o;
+    o.kernels = kc;
+    o.record_history = true;
+    NarOnce nar(5);
+    Run r;
+    if (v == kFused) o.fused_dots = true;
+    if (v == kRecover) {
+      o.resilience.enabled = true;
+      o.resilience.recompute_every = 7;
+      o.fault = &nar;
+    }
+    if (v == kDense)
+      r.rep = la::cg_solve(la::DenseAsOperator<P>{Ad, kc}, b, r.x, o);
+    else
+      r.rep = la::cg_solve(A, b, r.x, o);
+    return r;
+  };
+  for (const Variant v : {kFused, kRecover, kDense}) {
+    SCOPED_TRACE(int(v));
+    const Run s = run(kScalar, v);
+    if (v == kRecover) {
+      bool restarted = false;
+      for (const auto& e : s.rep.recovery)
+        restarted |= std::string(e.action) == "restart";
+      EXPECT_TRUE(restarted);
+    }
+    for (const simd::Isa isa : vector_isas()) {
+      ForcedIsa f(isa);
+      SCOPED_TRACE(simd::isa_name(isa));
+      const Run r = run(kSimd, v);
+      EXPECT_EQ(s.rep.status, r.rep.status);
+      EXPECT_EQ(s.rep.iterations, r.rep.iterations);
+      EXPECT_EQ(s.rep.history, r.rep.history);
+      EXPECT_EQ(s.rep.recovery.size(), r.rep.recovery.size());
+      ASSERT_EQ(s.x.size(), r.x.size());
+      for (std::size_t i = 0; i < s.x.size(); ++i)
+        ASSERT_EQ(s.x[i].bits(), r.x[i].bits()) << "x[" << i << "]";
+    }
+  }
+}
+
 TEST(KernelsSolvers, CholeskySimdBackendInvariantPerIsa) {
   const auto& m = matrices::suite_matrix("bcsstk02");
   const la::Vec<double> b(static_cast<std::size_t>(m.dense.rows()), 1.0);

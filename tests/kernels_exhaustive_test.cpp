@@ -19,6 +19,7 @@
 
 #include "la/csr.hpp"
 #include "la/kernels/kernels.hpp"
+#include "la/kernels/plane.hpp"
 #include "mp/oracle.hpp"
 #include "mp/mpreal.hpp"
 #include "posit/posit.hpp"
@@ -234,6 +235,82 @@ TEST(SimdExhaustive, Posit16FullPatternSweepPerIsa) {
   }
 }
 
+/// A plane must hold the exact value of every expected pattern: NaN for
+/// NaR, +0.0 for zero — a -0.0 anywhere is a failure of its own.
+template <class P>
+void expect_plane(const std::vector<double>& d, const la::Vec<P>& want,
+                  const char* what) {
+  ASSERT_EQ(d.size(), want.size()) << what;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    ASSERT_FALSE(d[i] == 0.0 && std::signbit(d[i])) << what << " -0.0 at " << i;
+    if (want[i].is_nar()) {
+      ASSERT_TRUE(std::isnan(d[i])) << what << " slot " << i;
+    } else {
+      const double w = want[i].to_double();
+      ASSERT_EQ(std::memcmp(&d[i], &w, sizeof w), 0)
+          << what << " slot " << i << " got " << d[i] << " want " << w;
+    }
+  }
+}
+
+template <class P>
+std::vector<double> decoded(const simd::Kernels<P>& k, const la::Vec<P>& v) {
+  std::vector<double> d(v.size());
+  k.decode_f64(v.data(), v.size(), d.data());
+  return d;
+}
+
+/// Full 16-bit pattern space through one ISA's plane axpy/xpby: every
+/// pattern as x, against scalars and y partners covering both taper ends,
+/// the golden zone, NaR and zero, plus a y that permutes the whole space.
+/// The result planes must be the scalar kernels' patterns, decoded.
+void sweep_p16_planes(const simd::IsaTables& t) {
+  using P = Posit<16, 1>;
+  constexpr unsigned kAll = 1u << 16;
+  la::Vec<P> x(kAll);
+  for (unsigned i = 0; i < kAll; ++i) x[i] = P::from_bits(i);
+  const auto xd = decoded(t.p16, x);
+  const unsigned partners[] = {0x0001, 0x0002, 0x1000, 0x3000, 0x4000,
+                               0x5678, 0x7FFF, 0x8000, 0x8001, 0xC000,
+                               0xE222, 0xFFFF, 0x0000};
+  std::vector<la::Vec<P>> ys;
+  for (const unsigned pb : partners) ys.emplace_back(kAll, P::from_bits(pb));
+  ys.emplace_back(kAll);
+  for (unsigned i = 0; i < kAll; ++i)  // odd multiplier: a bijection
+    ys.back()[i] = P::from_bits((i * 40503u + 12345u) & 0xFFFFu);
+
+  for (const unsigned pa : partners) {
+    const P a = P::from_bits(pa);
+    SCOPED_TRACE(pa);
+    for (const auto& y : ys) {
+      la::Vec<P> want = y;
+      ker::axpy(kScalar, a, x, want);
+      auto yd = decoded(t.p16, y);
+      t.p16.plane.axpy(a, xd.data(), yd.data(), kAll);
+      expect_plane(yd, want, "axpy");
+
+      ker::xpby(kScalar, x, a, y, want);
+      const auto ydd = decoded(t.p16, y);
+      std::vector<double> zd(kAll);
+      t.p16.plane.xpby(xd.data(), a, ydd.data(), zd.data(), kAll);
+      expect_plane(zd, want, "xpby");
+      // CG's p = r + beta p: z aliases y.
+      zd = ydd;
+      t.p16.plane.xpby(xd.data(), a, zd.data(), zd.data(), kAll);
+      expect_plane(zd, want, "xpby z=y");
+    }
+  }
+}
+
+TEST(SimdExhaustive, Posit16PlaneAxpyXpbySweepPerIsa) {
+  for (const simd::Isa isa : vector_isas()) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    const simd::IsaTables* t = simd::tables_for(isa);
+    ASSERT_NE(t, nullptr);
+    sweep_p16_planes(*t);
+  }
+}
+
 /// Long chained dots and strided update-chains with specials mixed in, for
 /// every vector format on every ISA — the band-exit, taper-absorption and
 /// NaR paths of the FP chain all fire at these lengths.
@@ -272,6 +349,45 @@ TEST(SimdExhaustive, LongChainsPerIsa) {
     simd_long_chains<Posit<16, 1>>(0xA11CE);
     simd_long_chains<Posit<32, 2>>(0xB0B);
     simd_long_chains<Posit<32, 3>>(0xC0DE);
+  }
+}
+
+/// Long plane dots with NaR and zero mixed in, plus runs that cancel
+/// exactly (x, -x against the same y) so the chain passes through zero:
+/// plane dot must return the scalar chain's pattern.
+template <class P>
+void plane_long_chains(const simd::Kernels<P>& k, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  constexpr u64 kMask = (u64(1) << P::nbits) - 1;
+  for (int rep = 0; rep < 48; ++rep) {
+    const int n = 1 + int(rng() % 4096);
+    la::Vec<P> x(n), y(n);
+    for (int i = 0; i < n; ++i) {
+      x[i] = P::from_bits(rng() & kMask);
+      y[i] = P::from_bits(rng() & kMask);
+      if (i > 0 && rng() % 7 == 0) {
+        x[i] = -x[i - 1];
+        y[i] = y[i - 1];
+      }
+      if (rng() % 97 == 0) x[i] = P::nar();
+      if (rep % 2 == 0 && x[i].is_nar()) x[i] = P::zero();  // NaR-free half
+      if (rng() % 131 == 0) y[i] = P::zero();
+    }
+    const P want = ker::dot(kScalar, x, y);
+    const auto xd = decoded(k, x), yd = decoded(k, y);
+    const P got = k.plane.dot(xd.data(), yd.data(), xd.size());
+    ASSERT_EQ(want.bits(), got.bits()) << "rep=" << rep << " n=" << n;
+  }
+}
+
+TEST(SimdExhaustive, PlaneDotLongChainsPerIsa) {
+  for (const simd::Isa isa : vector_isas()) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    const simd::IsaTables* t = simd::tables_for(isa);
+    ASSERT_NE(t, nullptr);
+    plane_long_chains(t->p16, 0xD07A);
+    plane_long_chains(t->p32, 0xD07B);
+    plane_long_chains(t->p32_3, 0xD07C);
   }
 }
 
@@ -391,6 +507,57 @@ TEST(SimdExhaustive, CsrSpmvPerIsa) {
     simd_csr_spmv<Posit<16, 1>>(0x5b1);
     simd_csr_spmv<Posit<32, 2>>(0x5b2);
     simd_csr_spmv<Posit<32, 3>>(0x5b3);
+  }
+}
+
+/// Plane CSR SpMV against the scalar (pattern) SpMV: one ISA's
+/// spmv_range over all rows and over two ranges split at an odd row, then
+/// the tiled kernels::apply on planes at one and several worker threads.
+/// Every result plane holds the scalar patterns' exact values, no -0.0.
+template <class P>
+void plane_csr_spmv(const simd::Kernels<P>& k, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  const int kRowCounts[] = {1, 9, ker::kSparseRowTile + 1,
+                            ker::kParMinSparseRows + ker::kSparseRowTile + 3};
+  for (const int rows : kRowCounts) {
+    const int cols = rows + 7;
+    const auto A = random_csr<P>(rows, cols, rng);
+    la::Vec<P> x(static_cast<std::size_t>(cols));
+    for (auto& v : x) v = csr_pattern<P>(rng);
+    la::Vec<P> want;
+    ker::spmv(kScalar, A, x, want);
+    const auto xd = decoded(k, x);
+    const P* val = A.values().data();
+    const int* col = A.col_idx().data();
+    const int* ptr = A.row_ptr().data();
+    std::vector<double> yd(static_cast<std::size_t>(rows));
+    k.plane.spmv_range(val, col, ptr, xd.data(), yd.data(), 0, rows);
+    expect_plane(yd, want, "spmv_range");
+    const int mid = std::min(rows / 2 | 1, rows);
+    std::vector<double> ys(static_cast<std::size_t>(rows));
+    k.plane.spmv_range(val, col, ptr, xd.data(), ys.data(), 0, mid);
+    k.plane.spmv_range(val, col, ptr, xd.data(), ys.data(), mid, rows);
+    expect_plane(ys, want, "split spmv_range");
+    for (const char* threads : {"1", "4"}) {
+      ThreadsEnv env(threads);
+      const auto xp = ker::to_plane(kSimd, x);
+      ASSERT_NE(xp.k, nullptr);
+      auto yp = ker::zeros_like(xp);
+      ker::apply(kSimd, A, xp, yp);
+      expect_plane(yp.d, want, threads);
+    }
+  }
+}
+
+TEST(SimdExhaustive, PlaneCsrSpmvPerIsa) {
+  for (const simd::Isa isa : vector_isas()) {
+    ForcedIsa f(isa);
+    ASSERT_TRUE(f.honored());
+    SCOPED_TRACE(simd::isa_name(isa));
+    const simd::IsaTables* t = simd::tables_for(isa);
+    plane_csr_spmv(t->p16, 0x9b1);
+    plane_csr_spmv(t->p32, 0x9b2);
+    plane_csr_spmv(t->p32_3, 0x9b3);
   }
 }
 

@@ -253,6 +253,14 @@ TEST(PrecisionTriple, ValidationNamesTheOffendingMember) {
   EXPECT_NE(req.precision_error().find("grid"), std::string::npos);
   req.precision.factor = "grid";
   EXPECT_TRUE(req.precision_error().empty());
+  // ... whose residuals are f64: any other residual would select nothing.
+  for (const char* r : {"dd", "quire"}) {
+    req.precision.residual = r;
+    EXPECT_NE(req.precision_error().find(r), std::string::npos) << r;
+  }
+  req.precision.residual = "f64";
+  EXPECT_TRUE(req.precision_error().empty());
+  req.precision.residual = "auto";
 
   // No LU path reads the resilience switch: refused, not echoed and ignored.
   req.resilience = true;

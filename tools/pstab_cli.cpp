@@ -22,10 +22,16 @@
 // `--json <path>` writes the run as a pstab-results-v1 artifact.
 // Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -91,6 +97,48 @@ int usage() {
 int bad_usage(const std::string& msg) {
   std::fprintf(stderr, "pstab: %s\n", msg.c_str());
   return usage();
+}
+
+// Numeric flag values of the non-solver subcommands (the solver flags go
+// through the wire rules of serve::request_from_cli).  A value must parse in
+// full as a decimal number in range; anything else stops the command with
+// a usage error naming the flag and the value.
+struct BadValue : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+constexpr int kMaxCount = 1000000000;  // iteration-, size- and time-like counts
+constexpr int kMaxThreads = 256;
+constexpr std::size_t kMaxMiB = std::size_t(1) << 20;  // sizes in MiB or KiB
+
+template <class N>
+N int_arg(const std::string& flag, const char* text, N lo, N hi) {
+  static_assert(std::is_integral_v<N>);
+  const bool digit = std::isdigit(static_cast<unsigned char>(text[0])) ||
+                     (std::is_signed_v<N> && text[0] == '-');
+  char* end = nullptr;
+  errno = 0;
+  const auto v = std::is_signed_v<N>
+                     ? static_cast<long double>(std::strtoll(text, &end, 10))
+                     : static_cast<long double>(std::strtoull(text, &end, 10));
+  if (!digit || *end != '\0' || errno == ERANGE || v < lo || v > hi)
+    throw BadValue("'" + flag + "' must be an integer in [" +
+                   std::to_string(lo) + ", " + std::to_string(hi) +
+                   "], got \"" + text + "\"");
+  return static_cast<N>(v);
+}
+
+double real_arg(const std::string& flag, const char* text,
+                double lo = -HUGE_VAL, double hi = HUGE_VAL) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(v >= lo && v <= hi)) {
+    char range[64];
+    std::snprintf(range, sizeof range, "[%g, %g]", lo, hi);
+    throw BadValue("'" + flag + "' must be a number in " + range +
+                   ", got \"" + text + "\"");
+  }
+  return v;
 }
 
 int emit_json(const std::string& path, const std::string& doc) {
@@ -231,25 +279,24 @@ int cmd_serve(int argc, char** argv) {
     else if (a == "--script" && has_value) script_path = argv[++i];
     else if (a == "--out" && has_value) out_path = argv[++i];
     else if (a == "--port" && has_value)
-      port = int(std::strtol(argv[++i], nullptr, 10));
+      port = int_arg(a, argv[++i], 0, 65535);
     else if (a == "--threads" && has_value)
-      opt.threads = int(std::strtol(argv[++i], nullptr, 10));
+      opt.threads = int_arg(a, argv[++i], 0, kMaxThreads);
     else if (a == "--cache-mb" && has_value)
-      opt.cache_bytes =
-          std::size_t(std::strtoull(argv[++i], nullptr, 10)) << 20;
+      opt.cache_bytes = int_arg<std::size_t>(a, argv[++i], 0, kMaxMiB) << 20;
     else if (a == "--max-frame-kb" && has_value)
-      opt.max_frame = std::size_t(std::strtoull(argv[++i], nullptr, 10)) << 10;
+      opt.max_frame = int_arg<std::size_t>(a, argv[++i], 1, kMaxMiB) << 10;
     else if (a == "--max-queue" && has_value)
-      opt.max_queue = std::size_t(std::strtoull(argv[++i], nullptr, 10));
+      opt.max_queue = int_arg<std::size_t>(a, argv[++i], 0, kMaxCount);
     else if (a == "--max-n" && has_value)
-      opt.max_n = int(std::strtol(argv[++i], nullptr, 10));
+      opt.max_n = int_arg(a, argv[++i], 0, kMaxCount);
     else if (a == "--max-matrix-mb" && has_value)
       opt.max_matrix_bytes =
-          std::size_t(std::strtoull(argv[++i], nullptr, 10)) << 20;
+          int_arg<std::size_t>(a, argv[++i], 0, kMaxMiB) << 20;
     else if (a == "--max-budget" && has_value)
-      opt.max_budget_ticks = int(std::strtol(argv[++i], nullptr, 10));
+      opt.max_budget_ticks = int_arg(a, argv[++i], 0, kMaxCount);
     else if (a == "--watchdog-ms" && has_value)
-      opt.watchdog_ms = int(std::strtol(argv[++i], nullptr, 10));
+      opt.watchdog_ms = int_arg(a, argv[++i], 0, kMaxCount);
     else if (a == "--script" || a == "--out" || a == "--port" ||
              a == "--threads" || a == "--cache-mb" || a == "--max-frame-kb" ||
              a == "--max-queue" || a == "--max-n" || a == "--max-matrix-mb" ||
@@ -306,7 +353,7 @@ int cmd_serve_client(int argc, char** argv) {
     else if (a == "--script" && has_value) script_path = argv[++i];
     else if (a == "--out" && has_value) out_path = argv[++i];
     else if (a == "--port" && has_value)
-      port = int(std::strtol(argv[++i], nullptr, 10));
+      port = int_arg(a, argv[++i], 0, 65535);
     else if (a == "--script" || a == "--out" || a == "--port")
       return bad_usage("flag '" + a + "' requires a value");
     else
@@ -401,13 +448,13 @@ int cmd_chaos(int argc, char** argv) {
     const std::string a = argv[i];
     const bool has_value = i + 1 < argc;
     if (a == "--seed" && has_value)
-      opt.seed = std::strtoull(argv[++i], nullptr, 0);
+      opt.seed = int_arg(a, argv[++i], std::uint64_t(0), ~std::uint64_t(0));
     else if (a == "--sessions" && has_value)
-      opt.sessions = int(std::strtol(argv[++i], nullptr, 10));
+      opt.sessions = int_arg(a, argv[++i], 1, kMaxCount);
     else if (a == "--threads" && has_value)
-      opt.threads = int(std::strtol(argv[++i], nullptr, 10));
+      opt.threads = int_arg(a, argv[++i], 0, kMaxThreads);
     else if (a == "--timeout-ms" && has_value)
-      opt.timeout_ms = int(std::strtol(argv[++i], nullptr, 10));
+      opt.timeout_ms = int_arg(a, argv[++i], 1, kMaxCount);
     else if (a == "--seed" || a == "--sessions" || a == "--threads" ||
              a == "--timeout-ms")
       return bad_usage("flag '" + a + "' requires a value");
@@ -437,7 +484,8 @@ int cmd_kernels(int argc, char** argv) {
     if (std::strcmp(argv[i], "--bench") == 0) {
       bench = true;
     } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = int(std::strtol(argv[++i], nullptr, 10));
+      n = int_arg(argv[i], argv[i + 1], 1, kMaxCount);
+      ++i;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
@@ -474,7 +522,7 @@ void show_precision(const char* label, double v) {
 
 int cmd_precision(int argc, char** argv) {
   if (argc < 3) return bad_usage("command 'precision' requires a value");
-  const double v = std::strtod(argv[2], nullptr);
+  const double v = real_arg("<value>", argv[2]);
   std::printf("representations of %.17g:\n", v);
   show_precision<Half>("Float16", v);
   show_precision<BFloat16>("BFloat16", v);
@@ -496,9 +544,9 @@ int cmd_fuzz(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--seed" && i + 1 < argc)
-      opt.seed = std::strtoull(argv[++i], nullptr, 0);
+      opt.seed = int_arg(a, argv[++i], std::uint64_t(0), ~std::uint64_t(0));
     else if (a == "--cases" && i + 1 < argc)
-      opt.cases = std::strtol(argv[++i], nullptr, 10);
+      opt.cases = int_arg(a, argv[++i], 1L, long(kMaxCount));
     else if (a == "--surfaces" && i + 1 < argc)
       opt.surfaces = argv[++i];
     else if (a == "--corpus" && i + 1 < argc)
@@ -543,15 +591,15 @@ int cmd_inject(int argc, char** argv) {
     if (a == "--solver" && i + 1 < argc)
       opt.solver = argv[++i];
     else if (a == "--seed" && i + 1 < argc)
-      opt.seed = std::strtoull(argv[++i], nullptr, 0);
+      opt.seed = int_arg(a, argv[++i], std::uint64_t(0), ~std::uint64_t(0));
     else if (a == "--trials" && i + 1 < argc)
-      opt.trials = int(std::strtol(argv[++i], nullptr, 10));
+      opt.trials = int_arg(a, argv[++i], 1, kMaxCount);
     else if (a == "--formats" && i + 1 < argc)
       opt.formats = argv[++i];
     else if (a == "--n" && i + 1 < argc)
-      opt.n = int(std::strtol(argv[++i], nullptr, 10));
+      opt.n = int_arg(a, argv[++i], 4, kMaxCount);
     else if (a == "--cond" && i + 1 < argc)
-      opt.cond = std::strtod(argv[++i], nullptr);
+      opt.cond = real_arg(a, argv[++i], 1.0, 1e300);
     else if (a == "--recovery")
       opt.recovery = true;
     else if (a == "--json" && i + 1 < argc)
@@ -652,6 +700,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[1], c.name) != 0) continue;
     try {
       return c.fn(argc, argv);
+    } catch (const BadValue& e) {
+      return bad_usage(e.what());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
